@@ -4,7 +4,7 @@
 GO      ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race lint fmt vet ppmlint lint-concurrency lint-codegen escapes-check escapes-update bce-check bce-update inline-check inline-update gates bench bench-experiments bench-sessions bench-blocks parallel-smoke block-smoke serve-smoke session-smoke check-quick check check-ittage fuzz-smoke ci
+.PHONY: all build test race lint fmt vet ppmlint lint-concurrency lint-codegen escapes-check escapes-update bce-check bce-update inline-check inline-update gates bench bench-experiments bench-sessions parallel-smoke block-smoke serve-smoke session-smoke check-quick check check-ittage fuzz-smoke ci
 
 all: build
 
@@ -79,10 +79,10 @@ gates: escapes-check bce-check inline-check
 bench:
 	$(GO) run ./cmd/benchjson -out BENCH_predictors.json
 
-# Benchmark the full experiment grid serial-without-cache vs parallel-with-
-# cache vs the batched block engine, and refresh the checked-in snapshot
-# (wall-clocks, derived speedups, cache traffic). The ns/op numbers reflect
-# the host's core count.
+# Benchmark the full experiment grid through the trace cache and the block
+# engine on one and four workers, and refresh the checked-in snapshot
+# (wall-clocks, cache traffic). The ns/op numbers reflect the host's core
+# count.
 bench-experiments:
 	$(GO) run ./cmd/benchjson -experiments -out BENCH_experiments.json
 
@@ -92,12 +92,6 @@ bench-experiments:
 bench-sessions:
 	$(GO) run ./cmd/benchjson -sessions -out BENCH_sessions.json
 
-# Just the block-engine rows of the grid benchmark, printed to stdout: a
-# quick local read on the single-core blocks-vs-serial speedup without
-# rewriting the full snapshot (that is `make bench-experiments`).
-bench-blocks:
-	$(GO) run ./cmd/benchjson -experiments -bench '^BenchmarkExperiments/(serial-nocache|blocks-j1-cached)$$' -out -
-
 # The parallel runner's correctness gate: byte-identical output across -j,
 # single generation per trace, and the scheduler/cache under the race
 # detector — including a short full-grid smoke at -j 4.
@@ -106,15 +100,15 @@ parallel-smoke:
 	$(GO) test -race ./internal/tracecache ./internal/sched
 	$(GO) run -race ./cmd/experiments -all -events 2000 -j 4 -cachestats > /dev/null
 
-# The block engine's correctness gate: the batched columnar path must render
-# byte-identical reports to the record engine at every worker count and
-# cache mode, stay allocation-free in steady state, and hold up under the
-# race detector with concurrent block conversions — plus a short full-grid
-# smoke through the default -blocks path.
+# The block engine's correctness gate: the paper and extension grids must
+# render the checked-in experiments_output.txt and experiments_ext_output.txt
+# byte for byte, the engine and the block decode loop must stay
+# allocation-free in steady state, and a short full-grid -j 4 run must hold
+# up under the race detector.
 block-smoke:
-	$(GO) test -run 'TestBlockEngineMatchesRecordEngine' ./cmd/experiments
+	$(GO) test -run 'TestGoldenOutputs' ./cmd/experiments
 	$(GO) test -run 'TestBlockEngineZeroAllocSteadyState' ./internal/bench
-	$(GO) test -race -run 'TestGetBlocks' ./internal/tracecache
+	$(GO) test -run 'TestReadBlockZeroAllocSteadyState|TestBuilderPathsAgree' ./internal/trace
 	$(GO) run -race ./cmd/experiments -all -events 2000 -j 4 -cachestats > /dev/null
 
 # End-to-end gate for the serving subsystem: boots a real ppmserved on an

@@ -10,6 +10,7 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/predictor"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -19,21 +20,29 @@ const benchEvents = 20_000
 
 var (
 	suiteOnce   sync.Once
-	suiteTraces map[string][]trace.Record
+	suiteTraces map[string][]trace.Block
 )
 
 // suite materializes the benchmark traces through the shared trace cache
 // (bench.Traces), so they are synthesized once per process and shared with
 // any other harness in the same binary.
-func suite() map[string][]trace.Record {
+func suite() map[string][]trace.Block {
 	suiteOnce.Do(func() {
-		suiteTraces = make(map[string][]trace.Record)
+		suiteTraces = make(map[string][]trace.Block)
 		for _, cfg := range bench.Sized(benchEvents) {
-			recs, _ := bench.Traces(cfg)
-			suiteTraces[cfg.String()] = recs
+			blks, _ := bench.Traces(cfg)
+			suiteTraces[cfg.String()] = blks
 		}
 	})
 	return suiteTraces
+}
+
+// runBlocks replays blks through a fresh engine over preds and returns the
+// counters.
+func runBlocks(blks []trace.Block, preds ...predictor.IndirectPredictor) []stats.Counters {
+	e := sim.New(preds...)
+	e.ProcessBlocks(blks)
+	return e.Counters()
 }
 
 // runSuite drives the whole benchmark suite through fresh instances of the
@@ -48,9 +57,9 @@ func runSuite(b *testing.B, build func() predictor.IndirectPredictor) {
 		var sum float64
 		var n int
 		branches = 0
-		for _, recs := range traces {
+		for _, blks := range traces {
 			p := build()
-			counters := sim.Run(recs, p)
+			counters := runBlocks(blks, p)
 			sum += counters[0].MispredictionRatio()
 			branches += int64(counters[0].Lookups)
 			n++
@@ -127,9 +136,9 @@ func BenchmarkComponentsAnalysis(b *testing.B) {
 	var share float64
 	for i := 0; i < b.N; i++ {
 		var top, total uint64
-		for _, recs := range traces {
+		for _, blks := range traces {
 			p := core.PaperHyb()
-			sim.Run(recs, p)
+			runBlocks(blks, p)
 			st := p.Stats()
 			for _, a := range st.Accesses {
 				total += a
@@ -144,11 +153,11 @@ func BenchmarkComponentsAnalysis(b *testing.B) {
 // BenchmarkOracleAnalysis reproduces the Section 5 oracle study (complete
 // PIB path history, length 8) on photon.
 func BenchmarkOracleAnalysis(b *testing.B) {
-	recs := suite()["photon"]
+	blks := suite()["photon"]
 	var acc float64
 	for i := 0; i < b.N; i++ {
 		o := oracle.New(8)
-		counters := sim.Run(recs, o)
+		counters := runBlocks(blks, o)
 		acc = 100 * counters[0].Accuracy()
 	}
 	b.ReportMetric(acc, "oracle-acc%")
@@ -214,14 +223,16 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 	b.ReportMetric(float64(recs), "records")
 }
 
-// BenchmarkEngine measures full-engine record processing with the complete
+// BenchmarkEngine measures full-engine block processing with the complete
 // Figure 6 predictor set attached.
 func BenchmarkEngine(b *testing.B) {
-	recs := suite()["gs.tig"]
+	blks := suite()["gs.tig"]
 	b.ResetTimer()
+	var records uint64
 	for i := 0; i < b.N; i++ {
 		e := sim.New(bench.Figure6Predictors()...)
-		e.ProcessAll(recs)
+		e.ProcessBlocks(blks)
+		records = e.Records()
 	}
-	b.ReportMetric(float64(len(recs)), "records")
+	b.ReportMetric(float64(records), "records")
 }

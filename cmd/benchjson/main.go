@@ -12,13 +12,11 @@
 // is identical across machines; only the ns/op column reflects the host.
 //
 // With -experiments it instead runs BenchmarkExperiments in
-// cmd/experiments at -benchtime=1x: the serial-nocache pass (the pre-cache
-// record-engine baseline), the record engine's parallel-j4-cached pass, and
-// the block engine's blocks-j1-cached / blocks-j4-cached passes over the
-// full -all -ext grid. The snapshot (`make bench-experiments` →
-// BENCH_experiments.json) records every wall-clock, the derived
-// serial/parallel and serial/blocks speedups, and the cache traffic metrics
-// proving each suite trace was generated exactly once.
+// cmd/experiments at -benchtime=1x: the full -all -ext grid through the
+// trace cache and the block engine on one worker (blocks-j1-cached) and on
+// four (blocks-j4-cached). The snapshot (`make bench-experiments` →
+// BENCH_experiments.json) records each wall-clock and the cache traffic
+// metrics proving each suite trace was generated exactly once.
 //
 // With -sessions it runs BenchmarkLiveSessions in internal/serve at a fixed
 // op count: one op is one whole live session (create + predict stream over
@@ -56,7 +54,7 @@ func main() {
 	out := flag.String("out", "", "output file ('-' for stdout; default depends on mode)")
 	benchRe := flag.String("bench", "", "benchmark regexp passed to go test (default depends on mode)")
 	benchtime := flag.String("benchtime", "", "benchtime passed to go test (default depends on mode)")
-	experiments := flag.Bool("experiments", false, "snapshot the experiment-grid benchmark (serial vs parallel wall-clock) instead of predictor throughput")
+	experiments := flag.Bool("experiments", false, "snapshot the experiment-grid benchmark (one vs four workers) instead of predictor throughput")
 	sessions := flag.Bool("sessions", false, "snapshot the live-session benchmark (sessions/s, predict latency, bytes/session) instead of predictor throughput")
 	flag.Parse()
 
@@ -100,14 +98,6 @@ func main() {
 	}
 
 	payload := map[string]any{"benchmarks": results}
-	if *experiments {
-		if s, ok := speedup(results, "parallel-j4-cached"); ok {
-			payload["speedup_serial_over_parallel"] = s
-		}
-		if s, ok := speedup(results, "blocks-j1-cached"); ok {
-			payload["speedup_serial_over_blocks_j1"] = s
-		}
-	}
 	data, err := json.MarshalIndent(payload, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -124,29 +114,6 @@ func main() {
 		os.Exit(2)
 	}
 	fmt.Printf("benchjson: wrote %d benchmark rows to %s\n", len(results), *out)
-}
-
-// speedup derives serial-nocache ns/op over the named variant's ns/op —
-// how much faster one full experiment grid completes with that
-// optimisation line on. parallel-j4-cached was the acceptance number of
-// the parallel-runner PR; blocks-j1-cached is the single-core acceptance
-// number of the block-engine PR.
-func speedup(results []result, variant string) (float64, bool) {
-	var serial, opt float64
-	for _, r := range results {
-		switch r.Name {
-		case "serial-nocache":
-			serial = r.NsPerOp
-		case variant:
-			opt = r.NsPerOp
-		}
-	}
-	if serial <= 0 || opt <= 0 {
-		return 0, false
-	}
-	// Two decimals: the snapshot is checked in, and sub-percent jitter
-	// would churn it on every regeneration.
-	return float64(int(100*serial/opt+0.5)) / 100, true
 }
 
 // parse extracts rows from `go test -bench` output. A -benchmem line looks
@@ -200,7 +167,7 @@ func parse(output string) ([]result, error) {
 
 // benchName strips the benchmark function prefix and the trailing
 // -GOMAXPROCS suffix, leaving the sub-benchmark label (e.g. "BTB" or
-// "serial-nocache"). The suffix is only present when GOMAXPROCS > 1 and is
+// "blocks-j1-cached"). The suffix is only present when GOMAXPROCS > 1 and is
 // always numeric — labels like "TC-PIB" must survive.
 func benchName(full string) string {
 	if i := strings.LastIndexByte(full, '-'); i > 0 {

@@ -3,23 +3,24 @@ package main
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/race"
 	"repro/internal/sched"
 	"repro/internal/tracecache"
 )
 
 // renderExperiments runs the named registry entries into w under the given
-// worker count, engine selection and trace cache, at the given per-run
-// event count.
-func renderExperiments(w io.Writer, names []string, workers int, blocks bool, cache *tracecache.Cache, events int) {
+// worker count and trace cache, at the given per-run event count.
+func renderExperiments(w io.Writer, names []string, workers int, cache *tracecache.Cache, events int) {
 	e := &env{
-		out:    w,
-		suite:  bench.Sized(events),
-		cache:  cache,
-		pool:   sched.New(workers),
-		blocks: blocks,
+		out:   w,
+		suite: bench.Sized(events),
+		cache: cache,
+		pool:  sched.New(workers),
 	}
 	for _, n := range names {
 		for _, ex := range experiments {
@@ -30,24 +31,69 @@ func renderExperiments(w io.Writer, names []string, workers int, blocks bool, ca
 	}
 }
 
-// TestParallelDeterminism is the scheduler's core guarantee: output is
-// byte-identical at every worker count, and every suite trace is generated
-// exactly once per process regardless of how many analyses consume it.
+// groupNames returns the registry entries of one group in canonical order.
+func groupNames(group string) []string {
+	var names []string
+	for _, ex := range experiments {
+		if ex.group == group {
+			names = append(names, ex.name)
+		}
+	}
+	return names
+}
+
+// TestGoldenOutputs pins the checked-in reproduction to the code: the paper
+// group at the default scale must render experiments_output.txt (`experiments
+// -all`) byte for byte, and the extension group at 60000 events must render
+// experiments_ext_output.txt (`experiments -ext -events 60000`). The files
+// change only when regenerated on purpose, so any drift in trace
+// generation, the block engine or a predictor shows up here.
+func TestGoldenOutputs(t *testing.T) {
+	for _, g := range []struct {
+		group, file string
+		events      int
+	}{
+		{"paper", "experiments_output.txt", bench.DefaultEvents},
+		{"extension", "experiments_ext_output.txt", 60000},
+	} {
+		t.Run(g.group, func(t *testing.T) {
+			if g.group == "extension" && race.Enabled {
+				t.Skip("the extension grid is too slow under the race detector; the paper grid covers the engine")
+			}
+			want, err := os.ReadFile(filepath.Join("..", "..", g.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			renderExperiments(&got, groupNames(g.group), 0, tracecache.New(512<<20), g.events)
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("%s group output differs from %s\n--- got ---\n%s", g.group, g.file, got.String())
+			}
+		})
+	}
+}
+
+// TestParallelDeterminism is the scheduler's core guarantee: every
+// experiment renders byte-identically at every worker count, and every
+// suite trace is generated exactly once per process regardless of how many
+// analyses consume it.
 func TestParallelDeterminism(t *testing.T) {
-	const events = 3000
-	names := []string{"fig6", "oracle"}
+	const events = 2000
+	names := allExperimentNames() // every predictor family crosses the block fast paths
 	suiteLen := uint64(len(bench.Sized(events)))
 
 	var serial bytes.Buffer
-	renderExperiments(&serial, names, 1, false, tracecache.New(0), events)
+	serialCache := tracecache.New(0)
+	renderExperiments(&serial, names, 1, serialCache, events)
 	if serial.Len() == 0 {
 		t.Fatal("serial run produced no output")
 	}
+	serialHits := serialCache.Stats().Hits
 
 	for _, workers := range []int{2, 8} {
 		cache := tracecache.New(0)
 		var par bytes.Buffer
-		renderExperiments(&par, names, workers, false, cache, events)
+		renderExperiments(&par, names, workers, cache, events)
 		if !bytes.Equal(serial.Bytes(), par.Bytes()) {
 			t.Errorf("workers=%d: output differs from serial run\n--- serial ---\n%s\n--- workers=%d ---\n%s",
 				workers, serial.String(), workers, par.String())
@@ -57,52 +103,26 @@ func TestParallelDeterminism(t *testing.T) {
 			t.Errorf("workers=%d: generated %d traces, want %d (each suite run exactly once)",
 				workers, st.Generated, suiteLen)
 		}
-		if st.Hits != suiteLen {
-			t.Errorf("workers=%d: cache hits = %d, want %d (second analysis recalls every run)",
-				workers, st.Hits, suiteLen)
+		if st.Hits != serialHits {
+			t.Errorf("workers=%d: cache hits = %d, want the serial run's %d (every later analysis recalls every run)",
+				workers, st.Hits, serialHits)
 		}
 	}
 }
 
 // TestDisabledCacheMatchesSerial pins the -tracecache=false escape hatch to
-// the same output.
+// the same output, serial or parallel.
 func TestDisabledCacheMatchesSerial(t *testing.T) {
 	const events = 2000
-	names := []string{"fig6"}
-	var cached, uncached bytes.Buffer
-	renderExperiments(&cached, names, 1, false, tracecache.New(0), events)
-	renderExperiments(&uncached, names, 4, false, tracecache.Disabled(), events)
-	if !bytes.Equal(cached.Bytes(), uncached.Bytes()) {
-		t.Error("disabled-cache parallel output differs from cached serial output")
-	}
-}
-
-// TestBlockEngineMatchesRecordEngine pins the -blocks default to the record
-// engine's bytes: the batched block path must render the exact same report
-// at every worker count, through live and disabled caches alike.
-func TestBlockEngineMatchesRecordEngine(t *testing.T) {
-	const events = 2000
-	names := allExperimentNames() // every predictor family crosses the block fast paths
-
-	var records bytes.Buffer
-	renderExperiments(&records, names, 1, false, tracecache.New(0), events)
-	if records.Len() == 0 {
-		t.Fatal("record-engine run produced no output")
-	}
-
-	for _, workers := range []int{1, 2, 8} {
-		var blocks bytes.Buffer
-		renderExperiments(&blocks, names, workers, true, tracecache.New(0), events)
-		if !bytes.Equal(records.Bytes(), blocks.Bytes()) {
-			t.Errorf("block engine at -j %d differs from record engine\n--- records ---\n%s\n--- blocks -j %d ---\n%s",
-				workers, records.String(), workers, blocks.String())
+	names := allExperimentNames()
+	var cached bytes.Buffer
+	renderExperiments(&cached, names, 1, tracecache.New(0), events)
+	for _, workers := range []int{1, 4} {
+		var uncached bytes.Buffer
+		renderExperiments(&uncached, names, workers, tracecache.Disabled(), events)
+		if !bytes.Equal(cached.Bytes(), uncached.Bytes()) {
+			t.Errorf("disabled-cache output at -j %d differs from cached serial output", workers)
 		}
-	}
-
-	var uncached bytes.Buffer
-	renderExperiments(&uncached, names, 1, true, tracecache.Disabled(), events)
-	if !bytes.Equal(records.Bytes(), uncached.Bytes()) {
-		t.Error("block engine with the disabled cache differs from record engine")
 	}
 }
 
@@ -115,44 +135,20 @@ func allExperimentNames() []string {
 	return names
 }
 
-// BenchmarkExperiments measures the full -all -ext grid. The serial-nocache
-// sub-benchmark is the pre-cache baseline (one worker, record engine, every
-// analysis regenerates every trace); parallel-j4-cached is the record
-// engine's shipped default on a 4-core machine; blocks-j1-cached and
-// blocks-j4-cached replay the same grid through the batched block engine —
-// blocks-j1-cached against serial-nocache is the single-core speedup of
-// this optimisation line. cmd/benchjson -experiments runs these at
-// -benchtime=1x and derives the speedups recorded in BENCH_experiments.json.
-// Cache traffic is attached as custom metrics so the snapshot proves single
-// generation.
+// BenchmarkExperiments measures the full -all -ext grid through the trace
+// cache and the block engine, on one worker and on four. cmd/benchjson
+// -experiments runs these at -benchtime=1x and records them in
+// BENCH_experiments.json. Cache traffic is attached as custom metrics so
+// the snapshot proves single generation.
 func BenchmarkExperiments(b *testing.B) {
 	const events = 20000
 	names := allExperimentNames()
-
-	b.Run("serial-nocache", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			renderExperiments(io.Discard, names, 1, false, tracecache.Disabled(), events)
-		}
-	})
-
-	b.Run("parallel-j4-cached", func(b *testing.B) {
-		var hits, generated uint64
-		for i := 0; i < b.N; i++ {
-			cache := tracecache.New(512 << 20)
-			renderExperiments(io.Discard, names, 4, false, cache, events)
-			st := cache.Stats()
-			hits += st.Hits
-			generated += st.Generated
-		}
-		b.ReportMetric(float64(hits)/float64(b.N), "cache-hits")
-		b.ReportMetric(float64(generated)/float64(b.N), "cache-gen")
-	})
 
 	b.Run("blocks-j1-cached", func(b *testing.B) {
 		var generated uint64
 		for i := 0; i < b.N; i++ {
 			cache := tracecache.New(512 << 20)
-			renderExperiments(io.Discard, names, 1, true, cache, events)
+			renderExperiments(io.Discard, names, 1, cache, events)
 			generated += cache.Stats().Generated
 		}
 		b.ReportMetric(float64(generated)/float64(b.N), "cache-gen")
@@ -160,7 +156,7 @@ func BenchmarkExperiments(b *testing.B) {
 
 	b.Run("blocks-j4-cached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			renderExperiments(io.Discard, names, 4, true, tracecache.New(512<<20), events)
+			renderExperiments(io.Discard, names, 4, tracecache.New(512<<20), events)
 		}
 	})
 }

@@ -24,7 +24,7 @@ func TestServedMatrixByteIdenticalToSerialRun(t *testing.T) {
 	const events = 2000
 
 	var want bytes.Buffer
-	renderExperiments(&want, []string{"fig6"}, 1, false, tracecache.New(0), events)
+	renderExperiments(&want, []string{"fig6"}, 1, tracecache.New(0), events)
 
 	srv := serve.New(serve.Config{MaxConcurrent: 4})
 	defer func() {

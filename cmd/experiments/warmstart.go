@@ -38,33 +38,44 @@ func printWarmstart(e *env) {
 
 func newHybEngine() *sim.Engine { return sim.New(core.PaperHyb()) }
 
+// midpointCut flattens a cached trace to its records and splits it at the
+// exact record midpoint into two block sequences, so a restored engine
+// resumes on precisely the record the snapshot stopped before.
+func midpointCut(blks []trace.Block) (first, rest []trace.Block, half, n int) {
+	recs := trace.BlocksRecords(blks)
+	half = len(recs) / 2
+	return trace.Blocks(recs[:half]), trace.Blocks(recs[half:]), half, len(recs)
+}
+
 // warmstartRun picks the trace the cross-process modes operate on: the first
 // run of the (possibly -run filtered) suite.
-func (e *env) warmstartRun() (name string, half int, recs []trace.Record) {
+func (e *env) warmstartRun() (name string, blks []trace.Block) {
 	if len(e.suite) == 0 {
 		fmt.Fprintln(os.Stderr, "experiments: -run filter matched no runs")
 		os.Exit(2)
 	}
 	cfg := e.suite[0]
-	r, _ := e.cache.Get(cfg)
-	return cfg.String(), len(r) / 2, r
+	blks, _ = e.cache.Get(cfg)
+	return cfg.String(), blks
 }
 
 func saveWarmstart(e *env) {
-	name, half, recs := e.warmstartRun()
+	name, blks := e.warmstartRun()
+	first, _, half, n := midpointCut(blks)
 	eng := newHybEngine()
-	eng.ProcessAll(recs[:half])
+	eng.ProcessBlocks(first)
 	data := state.SaveBytes(eng)
 	if err := os.WriteFile(e.savestate, data, 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 	fmt.Fprintf(e.out, "Warm start: saved PPM-hyb state after %d/%d records of %s -> %s (%d bytes)\n\n",
-		half, len(recs), name, e.savestate, len(data))
+		half, n, name, e.savestate, len(data))
 }
 
 func runWarmstart(e *env) {
-	name, half, recs := e.warmstartRun()
+	name, blks := e.warmstartRun()
+	_, rest, half, n := midpointCut(blks)
 	data, err := os.ReadFile(e.warmstart)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -75,13 +86,13 @@ func runWarmstart(e *env) {
 		fmt.Fprintln(os.Stderr, "experiments: restore:", err)
 		os.Exit(1)
 	}
-	eng.ProcessAll(recs[half:])
+	eng.ProcessBlocks(rest)
 
 	full := newHybEngine()
-	full.ProcessAll(recs)
+	full.ProcessBlocks(blks)
 	match := bytes.Equal(state.SaveBytes(eng), state.SaveBytes(full))
 	fmt.Fprintf(e.out, "Warm start: %s restored from %s at record %d/%d\n",
-		name, e.warmstart, half, len(recs))
+		name, e.warmstart, half, n)
 	fmt.Fprintf(e.out, "  restored continuation: %s mispredict, uncut run: %s\n",
 		report.Pct(eng.Counters()[0].MispredictionRatio()),
 		report.Pct(full.Counters()[0].MispredictionRatio()))
@@ -102,24 +113,24 @@ func printWarmstartDemo(e *env) {
 	}
 	rows := make([]row, len(e.suite))
 	e.pool.Map(len(e.suite), func(i int) {
-		recs, _ := e.cache.Get(e.suite[i])
-		half := len(recs) / 2
+		blks, _ := e.cache.Get(e.suite[i])
+		first, rest, half, n := midpointCut(blks)
 
 		full := newHybEngine()
-		full.ProcessAll(recs)
+		full.ProcessBlocks(blks)
 
 		pre := newHybEngine()
-		pre.ProcessAll(recs[:half])
+		pre.ProcessBlocks(first)
 		snap := state.SaveBytes(pre)
 		cont := newHybEngine()
 		match := state.LoadBytes(cont, snap) == nil
 		if match {
-			cont.ProcessAll(recs[half:])
+			cont.ProcessBlocks(rest)
 			match = bytes.Equal(state.SaveBytes(cont), state.SaveBytes(full))
 		}
 		rows[i] = row{
 			name: e.suite[i].String(), ratio: full.Counters()[0].MispredictionRatio(),
-			snapBytes: len(snap), cut: half, n: len(recs), match: match,
+			snapBytes: len(snap), cut: half, n: n, match: match,
 		}
 	})
 

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -61,7 +62,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := eng.ProcessReader(r); err != nil {
+		if err := eng.ProcessReader(context.Background(), r); err != nil {
 			fatal(err)
 		}
 	case *benchName != "":
@@ -71,7 +72,9 @@ func main() {
 		}
 		cfg.Events = *events
 		source = cfg.String()
-		cfg.Generate(eng.Process)
+		bb := trace.NewBlockBuilder(trace.BlockCap)
+		cfg.Generate(bb.Add)
+		eng.ProcessBlocks(bb.Blocks())
 	default:
 		flag.Usage()
 		os.Exit(2)

@@ -23,8 +23,8 @@ func allocTrace(t *testing.T) []trace.Record {
 		t.Fatal("gcc.cp missing from suite")
 	}
 	cfg.Events = 3000
-	recs, _ := Traces(cfg)
-	return recs
+	blks, _ := Traces(cfg)
+	return trace.BlocksRecords(blks)
 }
 
 // replay drives one predictor over the records with the engine's per-record

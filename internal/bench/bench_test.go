@@ -125,14 +125,22 @@ func TestTable1Characteristics(t *testing.T) {
 	}
 }
 
+// runBlocks replays blks through a fresh engine over preds and returns the
+// counters.
+func runBlocks(blks []trace.Block, preds ...predictor.IndirectPredictor) []stats.Counters {
+	e := sim.New(preds...)
+	e.ProcessBlocks(blks)
+	return e.Counters()
+}
+
 // run executes the suite at reduced scale and returns mean misprediction
 // ratios per predictor name.
 func runSuite(t *testing.T, events int, preds func() []predictor.IndirectPredictor) map[string]float64 {
 	t.Helper()
 	perPred := map[string][]stats.Counters{}
 	for _, cfg := range Sized(events) {
-		recs, _ := Traces(cfg)
-		for _, c := range sim.Run(recs, preds()...) {
+		blks, _ := Traces(cfg)
+		for _, c := range runBlocks(blks, preds()...) {
 			perPred[c.Predictor] = append(perPred[c.Predictor], c)
 		}
 	}
@@ -180,8 +188,8 @@ func TestFigure7Ordering(t *testing.T) {
 	}
 	perPred := map[string]map[string]float64{}
 	for _, cfg := range Sized(20000) {
-		recs, _ := Traces(cfg)
-		for _, c := range sim.Run(recs, Figure7Predictors()...) {
+		blks, _ := Traces(cfg)
+		for _, c := range runBlocks(blks, Figure7Predictors()...) {
 			if perPred[c.Predictor] == nil {
 				perPred[c.Predictor] = map[string]float64{}
 			}

@@ -12,9 +12,9 @@ import (
 // comfortably holds the full suite at benchmark scale.
 var sharedTraces = tracecache.New(1 << 30)
 
-// Traces materializes cfg's record stream and summary through the module's
-// shared trace cache. The returned slice is shared across callers and must
-// be treated as immutable; harnesses that mutate records must copy first.
-func Traces(cfg workload.Config) ([]trace.Record, workload.Summary) {
+// Traces materializes cfg's trace blocks and summary through the module's
+// shared trace cache. The returned blocks are shared across callers and
+// must be treated as immutable.
+func Traces(cfg workload.Config) ([]trace.Block, workload.Summary) {
 	return sharedTraces.Get(cfg)
 }

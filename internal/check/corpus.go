@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"unsafe"
 
 	"repro/internal/hashing"
 	"repro/internal/trace"
@@ -255,11 +254,12 @@ func ReplaySeed(e SeedEntry) error {
 	case "tracecache-oversize":
 		smallCfg := corpusWorkload(uint64(e.Seed.param("smallseed", 1)), int(e.Seed.param("smallevents", 100)))
 		bigCfg := corpusWorkload(uint64(e.Seed.param("bigseed", 2)), int(e.Seed.param("bigevents", 4000)))
-		smallRecs, _ := tracecache.Disabled().Get(smallCfg)
-		c := tracecache.New(e.Seed.param("budgetsmalls", 3) * entryBytes(smallRecs))
+		smallBlks, _ := tracecache.Disabled().Get(smallCfg)
+		c := tracecache.New(e.Seed.param("budgetsmalls", 3) * trace.BlocksBytes(smallBlks))
 		c.Get(smallCfg)
 		want, wantSum := bigCfg.Records()
-		got, gotSum := c.Get(bigCfg)
+		blks, gotSum := c.Get(bigCfg)
+		got := trace.BlocksRecords(blks)
 		if len(got) != len(want) || gotSum.Records != wantSum.Records {
 			return fmt.Errorf("seed %s: oversized trace served %d records, want %d", e.Seed.Name, len(got), len(want))
 		}
@@ -278,11 +278,6 @@ func ReplaySeed(e SeedEntry) error {
 		return nil
 	}
 	return fmt.Errorf("seed %s: unknown kind %q", e.Seed.Name, e.Seed.Kind)
-}
-
-// entryBytes mirrors the tracecache budget accounting for a record slice.
-func entryBytes(recs []trace.Record) int64 {
-	return int64(cap(recs)) * int64(unsafe.Sizeof(trace.Record{}))
 }
 
 // corpusWorkload is the fixed workload shape used by tracecache corpus

@@ -71,6 +71,18 @@ func TraceCacheIdentity(suite []workload.Config, build func() []predictor.Indire
 	return nil
 }
 
+// oneEntryBudget returns a trace cache budget that holds the largest of the
+// configs' traces but no two of them, so a suite run through it evicts
+// between cells.
+func oneEntryBudget(cfgs []workload.Config) int64 {
+	var most int64
+	for _, cfg := range cfgs {
+		blks, _ := tracecache.Disabled().Get(cfg)
+		most = max(most, trace.BlocksBytes(blks))
+	}
+	return most
+}
+
 // WorkerIdentity checks that a sharded pool returns byte-identical results
 // to the serial one-worker loop for every width in [2, maxWorkers].
 func WorkerIdentity(suite []workload.Config, build func() []predictor.IndirectPredictor, maxWorkers int) error {
@@ -214,9 +226,7 @@ func Metamorphic(seed uint64, events int) error {
 		}
 	}
 	build := bench.Figure6Predictors
-	// A budget of one entry forces eviction between suite cells.
-	recs, _ := cfgs[0].Records()
-	if err := TraceCacheIdentity(cfgs, build, entryBytes(recs)); err != nil {
+	if err := TraceCacheIdentity(cfgs, build, oneEntryBudget(cfgs)); err != nil {
 		return err
 	}
 	if err := WorkerIdentity(cfgs, build, 4); err != nil {

@@ -25,11 +25,10 @@ func TestSameSeedIdentity(t *testing.T) {
 }
 
 func TestTraceCacheIdentity(t *testing.T) {
-	cfgs := metaConfigs(t)
-	recs, _ := cfgs[0].Records()
 	// One-entry budget: the second cell evicts the first, so the property
 	// covers miss, hit-after-generate and regenerate-after-evict paths.
-	if err := TraceCacheIdentity(cfgs, bench.Figure6Predictors, entryBytes(recs)); err != nil {
+	cfgs := metaConfigs(t)
+	if err := TraceCacheIdentity(cfgs, bench.Figure6Predictors, oneEntryBudget(cfgs)); err != nil {
 		t.Error(err)
 	}
 }

@@ -369,10 +369,11 @@ var blockingOSNames = map[string]bool{
 // singleflight trace materialization, the scheduler's joins, and the
 // serving drain.
 var knownBlockers = map[string]map[string]string{
-	"repro/internal/tracecache": {"Get": "trace generation (singleflight wait)"},
-	"repro/internal/sched":      {"Map": "worker-pool join", "Simulate": "worker-pool join"},
+	"repro/internal/tracecache": {"Get": "trace generation (singleflight wait)", "GetBlocks": "trace generation (singleflight wait)"},
+	"repro/internal/sched":      {"Map": "worker-pool join", "Simulate": "worker-pool join", "SimulateBlocks": "worker-pool join"},
 	"repro/internal/serve":      {"Shutdown": "shutdown drain"},
-	"repro/internal/sim":        {"Process": "simulation", "ProcessAll": "simulation", "ProcessReader": "simulation"},
+	"repro/internal/sim": {"Process": "simulation", "ProcessAll": "simulation", "ProcessReader": "simulation",
+		"ProcessBlock": "simulation", "ProcessBlocks": "simulation", "ProcessPredicted": "simulation"},
 }
 
 // blockingCall classifies a callee as blocking, returning a description.

@@ -562,9 +562,16 @@ func (s *Server) runJob(j *job, cfgs []workload.Config, build func() []predictor
 		if j.ctx.Err() != nil {
 			return
 		}
-		recs, _ := s.cache.Get(cfgs[i])
+		blks, _ := s.cache.Get(cfgs[i])
 		e := sim.New(build()...)
-		processInterruptible(e, recs, j.ctx)
+		// The job context is checked between blocks, so cancellation and
+		// drain timeouts take effect mid-cell within one block's work.
+		for k := range blks {
+			if j.ctx.Err() != nil {
+				return
+			}
+			e.ProcessBlock(&blks[k])
+		}
 		if j.ctx.Err() != nil {
 			return
 		}
@@ -590,24 +597,6 @@ func (s *Server) finishJob(j *job) {
 		s.met.failed.Add(1)
 	}
 	s.met.latency.observe(t.Sub(j.created))
-}
-
-// processInterruptible drives records through the engine in chunks, checking
-// the job context between chunks so cancellation and drain timeouts take
-// effect mid-cell within ~a millisecond, while the per-record loop itself
-// stays the analyzed zero-alloc hot path.
-func processInterruptible(e *sim.Engine, recs []trace.Record, ctx context.Context) {
-	const chunk = 1 << 16
-	for start := 0; start < len(recs); start += chunk {
-		if ctx.Err() != nil {
-			return
-		}
-		end := start + chunk
-		if end > len(recs) {
-			end = len(recs)
-		}
-		e.ProcessAll(recs[start:end])
-	}
 }
 
 // cellResult captures one finished cell's counters.
@@ -636,10 +625,11 @@ func isTraceUpload(r *http.Request) bool {
 }
 
 // handleUpload simulates an uploaded trace against a predictor suite while
-// the body streams in: records decode one at a time through trace.Reader
-// and feed the engine directly, so a multi-gigabyte trace costs constant
-// memory. The simulation slot is try-acquired — a saturated server sheds
-// the upload with 429 before reading the body.
+// the body streams in: records decode block by block into one reused
+// trace.Block (sim.Engine.ProcessReader) and feed the block engine
+// directly, so a multi-gigabyte trace costs constant memory. The
+// simulation slot is try-acquired — a saturated server sheds the upload
+// with 429 before reading the body.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	spec := JobSpec{
 		Suite:      r.URL.Query().Get("suite"),
@@ -684,7 +674,14 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e := sim.New(build()...)
-	if err := streamTrace(e, tr, r); err != nil {
+	ctx := r.Context()
+	if err := e.ProcessReader(ctx, tr); err != nil {
+		switch {
+		case ctx.Err() != nil:
+			err = errRequestGone
+		case errors.Is(err, trace.ErrTruncated):
+			err = fmt.Errorf("upload truncated after %d records: %w", tr.Count(), err)
+		}
 		code := http.StatusBadRequest // truncation, corruption, vanished client
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
@@ -710,30 +707,6 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 }
 
 var errRequestGone = errors.New("serve: request context cancelled mid-upload")
-
-// streamTrace pumps decoded records into the engine, surfacing truncation
-// as trace.ErrTruncated (a client error, 400) and checking the request
-// context every few thousand records so an abandoned upload stops burning a
-// simulation slot.
-func streamTrace(e *sim.Engine, tr *trace.Reader, r *http.Request) error {
-	const checkEvery = 4096
-	for n := 0; ; n++ {
-		if n%checkEvery == 0 && r.Context().Err() != nil {
-			return errRequestGone
-		}
-		rec, err := tr.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			if errors.Is(err, trace.ErrTruncated) {
-				return fmt.Errorf("upload truncated after %d records: %w", tr.Count(), err)
-			}
-			return err
-		}
-		e.Process(rec)
-	}
-}
 
 // --- plumbing --------------------------------------------------------------
 

@@ -399,8 +399,12 @@ func (s *Server) handleStateGet(w http.ResponseWriter, r *http.Request) {
 	}
 	sw := s.spool.Writer()
 	data := state.Save(sess.eng, sw)
-	sizeBytes := sessionOverheadBytes + int64(len(data))
-	defer func() { s.releaseSession(sess, sizeBytes) }()
+	// The snapshot bytes belong to the pooled writer, not the engine, so
+	// the session is released before the response is written: a body
+	// larger than the server's write buffer would otherwise hold the claim
+	// until the client had read it, and the client's next request could
+	// find the session still busy.
+	s.releaseSession(sess, sessionOverheadBytes+int64(len(data)))
 
 	w.Header().Set("Content-Type", "application/x-ppm-state")
 	w.Header().Set("Content-Length", strconv.Itoa(len(data)))

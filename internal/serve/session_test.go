@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -406,6 +407,61 @@ func TestSessionBusyConflict(t *testing.T) {
 	// must keep answering while the session is busy.
 	if code := sessionStatusCode(t, ts.URL, st.ID); code != http.StatusOK {
 		t.Fatalf("busy status = %d, want 200", code)
+	}
+}
+
+// nextRequestWriter is a ResponseWriter that, on the first body write,
+// serves another request through the same handler — a client that has its
+// response in hand and sends its next request on another connection
+// before the first handler has returned.
+type nextRequestWriter struct {
+	header http.Header
+	code   int
+	body   bytes.Buffer
+	next   func()
+}
+
+func (w *nextRequestWriter) Header() http.Header { return w.header }
+
+func (w *nextRequestWriter) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code = code
+	}
+}
+
+func (w *nextRequestWriter) Write(p []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	if next := w.next; next != nil {
+		w.next = nil
+		next()
+	}
+	return w.body.Write(p)
+}
+
+// TestStateGetReleasesSessionBeforeWrite is the regression test for a
+// spurious 409: GET /state used to hold the session's busy claim while it
+// wrote a snapshot larger than the server's write buffer, so a client that
+// had read the whole body and sent its next request for the session could
+// find it still claimed. The next request, issued from inside the first
+// response's Write, must not be told the session is busy.
+func TestStateGetReleasesSessionBeforeWrite(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	st := createSession(t, ts.URL, "PPM-hyb")
+	path := "/v1/sessions/" + st.ID + "/state"
+
+	next := httptest.NewRecorder()
+	w := &nextRequestWriter{header: http.Header{}, next: func() {
+		s.Handler().ServeHTTP(next, httptest.NewRequest(http.MethodGet, path, nil))
+	}}
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+	if w.code != http.StatusOK || w.body.Len() == 0 {
+		t.Fatalf("first state GET: status %d, %d body bytes", w.code, w.body.Len())
+	}
+	if next.Code == http.StatusConflict {
+		t.Fatal("next request during the state body write got 409 session busy")
+	}
+	if !bytes.Equal(next.Body.Bytes(), w.body.Bytes()) {
+		t.Error("the two snapshots of an idle session differ")
 	}
 }
 

@@ -25,10 +25,11 @@ type BlockPredictor interface {
 // ProcessBlock feeds one columnar block to every predictor, whole-block
 // per predictor: the RAS steps through the block once, then each predictor
 // replays the block in turn — batch fast path when it opts in via
-// BlockPredictor, record-exact fallback otherwise. Predictors share no
-// state with each other or with the RAS, so this reordering relative to
-// the record-interleaved Process loop leaves every per-predictor outcome
-// and the RAS accounting bit-identical.
+// BlockPredictor, otherwise the per-record protocol on each record
+// reconstructed from the lanes (the oracle, the filtered/multi PPM
+// extensions). Predictors share no state with each other or with the RAS,
+// so this reordering relative to the record-interleaved Process loop
+// leaves every per-predictor outcome and the RAS accounting bit-identical.
 //
 //ppm:hotpath per-block engine step driving every predictor
 func (e *Engine) ProcessBlock(b *trace.Block) {
@@ -36,36 +37,18 @@ func (e *Engine) ProcessBlock(b *trace.Block) {
 	e.records += n
 	e.instrs += b.GapSum + n
 	e.ras.ProcessBlock(b)
-	for i := range e.preds {
+	for i, p := range e.preds {
 		if bp := e.bp[i]; bp != nil {
 			bp.ProcessBlock(b, &e.counters[i])
-		} else {
-			e.processBlockSlow(i, b)
+			continue
 		}
-	}
-}
-
-// processBlockSlow replays a block against predictor i through the
-// record-at-a-time protocol, reconstructing each record from the lanes.
-// This is the path predictors without a batch fast path take (oracle, the
-// value-aware CBT, the filtered/multi PPM extensions).
-//
-//ppm:hotpath per-record fallback under the block engine
-func (e *Engine) processBlockSlow(i int, b *trace.Block) {
-	p := e.preds[i]     //lint:idxsafe i < len(e.preds) by construction (caller iterates e.bp, same length)
-	va := e.va[i]       //lint:idxsafe i < len(e.preds) == len(e.va) by construction
-	c := &e.counters[i] //lint:idxsafe i < len(e.preds) == len(e.counters) by construction
-	for k := 0; k < b.Len(); k++ {
-		r := b.Record(k)
-		if r.MTIndirect() {
-			if va != nil {
-				va.SetValue(r.Value)
+		for k := 0; k < b.Len(); k++ {
+			r := b.Record(k)
+			if r.MTIndirect() {
+				e.dispatch(i, r)
 			}
-			target, ok := p.Predict(r.PC)
-			c.Record(ok && target == r.Target, ok)
-			p.Update(r.PC, r.Target)
+			p.Observe(r)
 		}
-		p.Observe(r)
 	}
 }
 

@@ -10,29 +10,24 @@ type Prediction struct {
 	Correct   bool   // Predicted and the target matched the committed one
 }
 
-// ProcessPredicted feeds one record through the exact per-record protocol of
-// Process — predict and train every predictor on MT indirect dispatches,
-// advance the RAS, observe everything — and additionally surfaces the first
-// predictor's prediction outcome. dispatched is false (and the outcome zero)
-// when the record is not an MT indirect dispatch, where no prediction is
-// made. The live-session predict stream uses this so each prediction can be
-// streamed back while state mutates exactly as the batch engine would; the
-// two paths are pinned identical by TestProcessPredictedMatchesProcess.
+// ProcessPredicted feeds one record through the per-record protocol —
+// predict and train every predictor on MT indirect dispatches, advance the
+// RAS, observe everything — and additionally surfaces the first predictor's
+// prediction outcome. dispatched is false (and the outcome zero) when the
+// record is not an MT indirect dispatch, where no prediction is made. The
+// live-session predict stream uses this so each prediction can be streamed
+// back while state mutates exactly as the batch engine would; the two paths
+// are pinned identical by TestProcessPredictedMatchesProcess.
 func (e *Engine) ProcessPredicted(r trace.Record) (p Prediction, dispatched bool) {
 	e.records++
 	e.instrs += uint64(r.Gap) + 1
 	if r.MTIndirect() {
 		dispatched = true
-		for i, pr := range e.preds {
-			if va := e.va[i]; va != nil {
-				va.SetValue(r.Value)
-			}
-			target, ok := pr.Predict(r.PC)
-			e.counters[i].Record(ok && target == r.Target, ok)
+		for i := range e.preds {
+			target, ok := e.dispatch(i, r)
 			if i == 0 {
 				p = Prediction{Target: target, Predicted: ok, Correct: ok && target == r.Target}
 			}
-			pr.Update(r.PC, r.Target)
 		}
 	}
 	e.ras.Process(r)

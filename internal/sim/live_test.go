@@ -8,12 +8,14 @@ import (
 	"repro/internal/check"
 	"repro/internal/sim"
 	"repro/internal/state"
+	"repro/internal/trace"
 )
 
 // TestProcessPredictedMatchesProcess pins the live predict step to the batch
-// step: replaying the same trace through Process and through
-// ProcessPredicted must leave byte-identical engine state for every family,
-// and the surfaced predictions must sum to exactly the engine's counters.
+// engine: replaying the same trace through ProcessBlocks (every family's
+// block fast path) and record by record through ProcessPredicted must leave
+// byte-identical engine state for every family, and the surfaced
+// predictions must sum to exactly the engine's counters.
 func TestProcessPredictedMatchesProcess(t *testing.T) {
 	recs := check.RandomTrace(0x11FE, 3000)
 	for _, name := range bench.PredictorNames() {
@@ -21,7 +23,7 @@ func TestProcessPredictedMatchesProcess(t *testing.T) {
 			pa, _ := bench.NewPredictor(name)
 			pb, _ := bench.NewPredictor(name)
 			batch, live := sim.New(pa), sim.New(pb)
-			batch.ProcessAll(recs)
+			batch.ProcessBlocks(trace.Blocks(recs))
 
 			var dispatches, predicted, correct uint64
 			for _, r := range recs {

@@ -8,6 +8,7 @@
 package sim
 
 import (
+	"context"
 	"io"
 
 	"repro/internal/predictor"
@@ -31,6 +32,9 @@ type Engine struct {
 	ras      *ras.Stack
 	records  uint64
 	instrs   uint64
+	// dec is the block ProcessReader decodes into, kept so repeated
+	// streams through one engine reuse its lanes.
+	dec trace.Block
 }
 
 // New builds an engine over the given predictors. A 64-deep RAS is
@@ -62,26 +66,41 @@ type ValueAware interface {
 	SetValue(v uint32)
 }
 
-// Process feeds one committed branch record to every predictor.
+// Process feeds one committed branch record to every predictor. It is
+// ProcessPredicted without the outcome capture, kept as its own loop
+// because it is the record protocol's inner loop.
 //
 //ppm:hotpath per-record engine step driving every predictor
 func (e *Engine) Process(r trace.Record) {
 	e.records++
 	e.instrs += uint64(r.Gap) + 1
 	if r.MTIndirect() {
-		for i, p := range e.preds {
-			if va := e.va[i]; va != nil {
-				va.SetValue(r.Value)
-			}
-			target, ok := p.Predict(r.PC)
-			e.counters[i].Record(ok && target == r.Target, ok)
-			p.Update(r.PC, r.Target)
+		for i := range e.preds {
+			e.dispatch(i, r)
 		}
 	}
 	e.ras.Process(r)
 	for _, p := range e.preds {
 		p.Observe(r)
 	}
+}
+
+// dispatch runs predictor i through one MT indirect dispatch: forward the
+// switch value (ValueAware), predict at the pre-update history, record the
+// outcome and train. It is the one predict→record→update step Process,
+// ProcessPredicted and ProcessBlock's record fallback share; each of them
+// then observes every record.
+//
+//ppm:hotpath per-dispatch protocol step for one predictor
+func (e *Engine) dispatch(i int, r trace.Record) (target uint64, ok bool) {
+	if va := e.va[i]; va != nil { //lint:idxsafe len(e.va) == len(e.preds) by construction
+		va.SetValue(r.Value)
+	}
+	p := e.preds[i] //lint:idxsafe i < len(e.preds) by caller contract
+	target, ok = p.Predict(r.PC)
+	e.counters[i].Record(ok && target == r.Target, ok) //lint:idxsafe len(e.counters) == len(e.preds) by construction
+	p.Update(r.PC, r.Target)
+	return target, ok
 }
 
 // ProcessAll feeds a slice of records.
@@ -91,17 +110,25 @@ func (e *Engine) ProcessAll(recs []trace.Record) {
 	}
 }
 
-// ProcessReader streams records from a trace.Reader until EOF.
-func (e *Engine) ProcessReader(r *trace.Reader) error {
+// ProcessReader decodes the stream block by block into one reused block
+// and replays each through ProcessBlock, until EOF, a decode error, or ctx
+// is done — checked between blocks, so an abandoned stream stops within
+// one block's work. It returns nil at EOF, ctx's error when cancelled, and
+// otherwise the decode error (trace.ErrTruncated for a cut-off stream;
+// r.Count then counts the records decoded, of which the engine has
+// replayed every complete block).
+func (e *Engine) ProcessReader(ctx context.Context, r *trace.Reader) error {
 	for {
-		rec, err := r.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
-		e.Process(rec)
+		if err := r.ReadBlock(&e.dec); err != nil {
+			if err == io.EOF {
+				return nil
+			}
+			return err
+		}
+		e.ProcessBlock(&e.dec)
 	}
 }
 

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/btb"
@@ -111,16 +113,38 @@ func TestProcessReader(t *testing.T) {
 		_ = w.Write(mtJmp(0x40, uint64(0x1000+(i%3)*0x40), 2))
 	}
 	_ = w.Flush()
-	r, err := trace.NewReader(&buf)
+	data := buf.Bytes()
+	r, err := trace.NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := New(btb.New(16))
-	if err := e.ProcessReader(r); err != nil {
+	if err := e.ProcessReader(context.Background(), r); err != nil {
 		t.Fatal(err)
 	}
 	if e.Records() != 50 {
 		t.Errorf("Records = %d, want 50", e.Records())
+	}
+
+	// A cut-off stream surfaces ErrTruncated with Count intact.
+	r, _ = trace.NewReader(bytes.NewReader(data[:len(data)-1]))
+	if err := New(btb.New(16)).ProcessReader(context.Background(), r); !errors.Is(err, trace.ErrTruncated) {
+		t.Errorf("truncated stream: err = %v, want ErrTruncated", err)
+	}
+	if r.Count() != 49 {
+		t.Errorf("truncated stream: Count = %d, want 49", r.Count())
+	}
+
+	// A done context stops the replay before the next block.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r, _ = trace.NewReader(bytes.NewReader(data))
+	e = New(btb.New(16))
+	if err := e.ProcessReader(ctx, r); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled replay: err = %v, want context.Canceled", err)
+	}
+	if e.Records() != 0 {
+		t.Errorf("cancelled replay processed %d records, want 0", e.Records())
 	}
 }
 

@@ -15,11 +15,12 @@ import (
 // paths that only act on indirect branches walk the index lanes and skip
 // the conditional-branch fabric that dominates the stream.
 //
-// Blocks are built once (from a []Record or straight off a Reader) and then
-// shared: every field, including the lanes, MUST be treated as immutable by
-// consumers. The derived lanes (MTIdx, PIBIdx, GapSum) are maintained by
-// the builders; mutating a data lane without rebuilding them desynchronizes
-// the block.
+// Blocks are built once by a BlockBuilder (from workload generation or a
+// []Record) and then shared: every field, including the lanes, MUST be
+// treated as immutable by consumers. A decode loop instead refills one
+// block in place with Reader.ReadBlock. The derived lanes (MTIdx, PIBIdx,
+// GapSum) are maintained by the builders; mutating a data lane without
+// rebuilding them desynchronizes the block.
 type Block struct {
 	// PC, Target, Meta, Gap and Value are the per-record field lanes; all
 	// have the same length. Meta packs Class, Taken and MT into one byte
@@ -46,6 +47,10 @@ type Block struct {
 	// GapSum is the sum of the Gap lane, precomputed so the engine can
 	// account reconstructed instruction counts in O(1) per block.
 	GapSum uint64
+
+	// spare keeps a reused block's Value lane storage while the lane is
+	// absent (see reset); it is never read as data.
+	spare []uint32
 }
 
 // BlockCap is the records-per-block capacity used by the builders: large
@@ -83,18 +88,21 @@ func (b *Block) Len() int { return len(b.Meta) }
 //ppm:hotpath per-record reassembly inside the block engine's fallback loop
 func (b *Block) Record(i int) Record {
 	m := b.Meta[i] //lint:idxsafe caller contract: i < Len(); panicking on bad i is the documented behaviour
-	r := Record{
+	// The value is read before the record is built, so the record is
+	// returned straight from registers rather than assembled in memory.
+	var v uint32
+	if b.Value != nil {
+		v = b.Value[i] //lint:idxsafe a non-nil Value lane shares len(b.Meta) by construction
+	}
+	return Record{
 		PC:     b.PC[i],     //lint:idxsafe all lanes share len(b.Meta) by construction
 		Target: b.Target[i], //lint:idxsafe all lanes share len(b.Meta) by construction
 		Class:  Class(m & MetaClassMask),
 		Taken:  m&MetaTaken != 0,
 		MT:     m&MetaMT != 0,
 		Gap:    b.Gap[i], //lint:idxsafe all lanes share len(b.Meta) by construction
+		Value:  v,
 	}
-	if b.Value != nil {
-		r.Value = b.Value[i] //lint:idxsafe a non-nil Value lane shares len(b.Meta) by construction
-	}
-	return r
 }
 
 // Bytes returns the block's resident footprint under the columnar size
@@ -121,8 +129,9 @@ func BlocksBytes(blks []Block) int64 {
 }
 
 // append pushes one record onto the block's lanes, maintaining the derived
-// lanes. The caller guarantees capacity (the builders preallocate), so
-// steady-state appends do not grow.
+// lanes. It is the one per-record build step behind BlockBuilder and
+// Reader.ReadBlock; once the lanes have grown to the block's capacity,
+// appends do not allocate.
 func (b *Block) append(r Record) {
 	i := len(b.Meta)
 	b.PC = append(b.PC, r.PC)
@@ -130,9 +139,15 @@ func (b *Block) append(r Record) {
 	b.Meta = append(b.Meta, metaOf(r))
 	b.Gap = append(b.Gap, r.Gap)
 	if r.Value != 0 && b.Value == nil {
-		// First switch value in the block: materialize the lane and
-		// back-fill the zeros for the records already appended.
-		b.Value = make([]uint32, i, cap(b.Meta))
+		// First switch value in the block: materialize the lane — from
+		// the storage a reset kept, when there is enough — and back-fill
+		// the zeros for the records already appended.
+		if cap(b.spare) >= cap(b.Meta) {
+			b.Value = b.spare[:i]
+			clear(b.Value)
+		} else {
+			b.Value = make([]uint32, i, cap(b.Meta))
+		}
 	}
 	if b.Value != nil {
 		b.Value = append(b.Value, r.Value)
@@ -144,6 +159,23 @@ func (b *Block) append(r Record) {
 			b.MTIdx = append(b.MTIdx, int32(i))
 		}
 	}
+}
+
+// reset empties the block for refilling with up to n records, keeping the
+// lane storage (and a materialized Value lane's storage, for the next block
+// that carries a switch value). A block with less than n records of room is
+// reallocated once to full size.
+func (b *Block) reset(n int) {
+	if cap(b.Meta) < n {
+		*b = newBlock(n)
+		return
+	}
+	if b.Value != nil {
+		b.spare = b.Value[:0]
+	}
+	b.PC, b.Target, b.Meta, b.Gap = b.PC[:0], b.Target[:0], b.Meta[:0], b.Gap[:0]
+	b.Value, b.MTIdx, b.PIBIdx = nil, b.MTIdx[:0], b.PIBIdx[:0]
+	b.GapSum = 0
 }
 
 // newBlock returns an empty block with every fixed lane preallocated to n
@@ -158,6 +190,45 @@ func newBlock(n int) Block {
 	}
 }
 
+// BlockBuilder accumulates a record stream into blocks of a fixed capacity.
+// It is how a trace becomes blocks on its way to the engine: workload
+// generation emits straight into Add (workload.Config.Generate(bb.Add)),
+// Blocks converts record slices through it, and Reader.ReadBlock refills a
+// block with the same per-record append.
+type BlockBuilder struct {
+	blockCap int
+	cur      Block
+	blks     []Block
+}
+
+// NewBlockBuilder returns a builder of blockCap-record blocks. Panics if
+// blockCap < 1.
+func NewBlockBuilder(blockCap int) *BlockBuilder {
+	if blockCap < 1 {
+		panic("trace: block capacity must be >= 1")
+	}
+	return &BlockBuilder{blockCap: blockCap, cur: newBlock(blockCap)}
+}
+
+// Add appends one record, opening a new block when the current one is full.
+func (bb *BlockBuilder) Add(r Record) {
+	if bb.cur.Len() == bb.blockCap {
+		bb.blks = append(bb.blks, bb.cur)
+		bb.cur = newBlock(bb.blockCap)
+	}
+	bb.cur.append(r)
+}
+
+// Blocks returns the built blocks: every block holds blockCap records but
+// the last, which holds the remainder. The builder must not be used after.
+func (bb *BlockBuilder) Blocks() []Block {
+	if bb.cur.Len() > 0 {
+		bb.blks = append(bb.blks, bb.cur)
+		bb.cur = Block{}
+	}
+	return bb.blks
+}
+
 // Blocks converts a record slice to its columnar form in BlockCap-sized
 // blocks (the last block holds the remainder). The records are copied; the
 // input slice is not retained.
@@ -166,26 +237,36 @@ func Blocks(recs []Record) []Block { return BlocksSized(recs, BlockCap) }
 // BlocksSized is Blocks with an explicit records-per-block capacity.
 // Panics if blockCap < 1.
 func BlocksSized(recs []Record, blockCap int) []Block {
-	if blockCap < 1 {
-		panic("trace: block capacity must be >= 1")
+	bb := NewBlockBuilder(blockCap)
+	for _, r := range recs {
+		bb.Add(r)
 	}
-	blks := make([]Block, 0, (len(recs)+blockCap-1)/blockCap)
-	for off := 0; off < len(recs); off += blockCap {
-		end := off + blockCap
-		if end > len(recs) {
-			end = len(recs)
+	return bb.Blocks()
+}
+
+// AppendRecords appends the block's records, in stream order, to dst. The
+// lanes are walked once with each record assembled in registers, so
+// flattening a block into a reused buffer costs about as much as copying a
+// record slice.
+func (b *Block) AppendRecords(dst []Record) []Record {
+	n := len(b.Meta)
+	pc, tgt, gap := b.PC[:n], b.Target[:n], b.Gap[:n]
+	for k, m := range b.Meta {
+		var v uint32
+		if b.Value != nil {
+			v = b.Value[k] //lint:idxsafe a non-nil Value lane shares len(b.Meta) by construction
 		}
-		b := newBlock(end - off)
-		for _, r := range recs[off:end] {
-			b.append(r)
-		}
-		blks = append(blks, b)
+		dst = append(dst, Record{
+			PC: pc[k], Target: tgt[k], Gap: gap[k], Value: v,
+			Class: Class(m & MetaClassMask), Taken: m&MetaTaken != 0, MT: m&MetaMT != 0,
+		})
 	}
-	return blks
+	return dst
 }
 
 // BlocksRecords flattens blocks back to a record slice — the inverse of
-// Blocks, used by differential tests and block-unaware consumers.
+// Blocks, for differential tests and analyses that need one contiguous
+// record sequence.
 func BlocksRecords(blks []Block) []Record {
 	n := 0
 	for i := range blks {
@@ -193,36 +274,27 @@ func BlocksRecords(blks []Block) []Record {
 	}
 	recs := make([]Record, 0, n)
 	for i := range blks {
-		b := &blks[i]
-		for k := 0; k < b.Len(); k++ {
-			recs = append(recs, b.Record(k))
-		}
+		recs = blks[i].AppendRecords(recs)
 	}
 	return recs
 }
 
-// ReadBlocks drains the reader straight into columnar blocks of BlockCap
-// records, without materializing an intermediate []Record — the decode path
-// the pre-decoded block cache fills once so re-simulation never re-parses
-// varints. On error the blocks decoded so far are returned alongside it.
-func (r *Reader) ReadBlocks() ([]Block, error) {
-	var blks []Block
-	b := newBlock(BlockCap)
-	for {
+// ReadBlock refills b with the next BlockCap records of the stream (fewer
+// at its end), reusing b's lane storage, so a decode loop over one block
+// allocates nothing once the lanes have grown. It returns io.EOF, with b
+// empty, once the stream is exhausted. On a decode error b holds the
+// records decoded before it, and Count counts exactly those.
+func (r *Reader) ReadBlock(b *Block) error {
+	b.reset(BlockCap)
+	for b.Len() < BlockCap {
 		rec, err := r.Read()
+		if err == io.EOF && b.Len() > 0 {
+			return nil
+		}
 		if err != nil {
-			if b.Len() > 0 {
-				blks = append(blks, b)
-			}
-			if err == io.EOF {
-				err = nil
-			}
-			return blks, err
+			return err
 		}
 		b.append(rec)
-		if b.Len() == BlockCap {
-			blks = append(blks, b)
-			b = newBlock(BlockCap)
-		}
 	}
+	return nil
 }

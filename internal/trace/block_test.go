@@ -2,8 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/race"
 )
 
 // blockRecords builds a stream long enough to span several small blocks,
@@ -132,7 +136,7 @@ func TestBlocksSizedPanicsOnBadCap(t *testing.T) {
 	BlocksSized(blockRecords(4), 0)
 }
 
-func TestBlockBytesColumnarModel(t *testing.T) {
+func TestBlocksBytesColumnarModel(t *testing.T) {
 	recs := blockRecords(100)
 	b := Blocks(recs)[0]
 	// Fixed lanes are preallocated to the build size; index lanes grow.
@@ -155,35 +159,28 @@ func TestBlockBytesColumnarModel(t *testing.T) {
 
 func TestReadBlocksMatchesReadAll(t *testing.T) {
 	recs := blockRecords(10_000) // > 2 full BlockCap blocks plus a remainder
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	rd, err := NewReader(bytes.NewReader(encodeRecords(t, recs)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
+	var b Block
+	var got []Record
+	for n := 0; ; n++ {
+		err := rd.ReadBlock(&b)
+		if err == io.EOF {
+			if b.Len() != 0 {
+				t.Errorf("io.EOF left %d records in the block", b.Len())
+			}
+			break
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	rd, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	blks, err := rd.ReadBlocks()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range blks {
-		if i < len(blks)-1 && b.Len() != BlockCap {
-			t.Errorf("block %d holds %d records, want BlockCap=%d", i, b.Len(), BlockCap)
+		if len(got)+b.Len() < len(recs) && b.Len() != BlockCap {
+			t.Errorf("block %d holds %d records, want BlockCap=%d", n, b.Len(), BlockCap)
 		}
+		got = append(got, BlocksRecords([]Block{b})...)
 	}
-	got := BlocksRecords(blks)
 	if len(got) != len(recs) {
 		t.Fatalf("decoded %d records, want %d", len(got), len(recs))
 	}
@@ -195,28 +192,45 @@ func TestReadBlocksMatchesReadAll(t *testing.T) {
 }
 
 func TestReadBlocksTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	for _, r := range blockRecords(10) {
-		_ = w.Write(r)
-	}
-	_ = w.Flush()
-	data := buf.Bytes()
-
+	data := encodeRecords(t, blockRecords(10))
 	rd, err := NewReader(bytes.NewReader(data[:len(data)-1]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	blks, err := rd.ReadBlocks()
-	if err == nil {
-		t.Fatal("truncated stream decoded without error")
+	var b Block
+	if err := rd.ReadBlock(&b); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("truncated stream: err = %v, want ErrTruncated", err)
 	}
-	n := 0
-	for i := range blks {
-		n += blks[i].Len()
+	if rd.Count() != 9 || b.Len() != 9 {
+		t.Errorf("salvaged Count %d, block %d records from the truncated stream, want 9", rd.Count(), b.Len())
 	}
-	if n != 9 {
-		t.Errorf("salvaged %d records from the truncated stream, want 9", n)
+}
+
+// TestReadBlockZeroAllocSteadyState pins the decode loop's reuse: once a
+// block's lanes (Value lane included) have grown, refilling it from a
+// reset reader allocates nothing.
+func TestReadBlockZeroAllocSteadyState(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	data := encodeRecords(t, blockRecords(3*BlockCap+17))
+	src := bytes.NewReader(data)
+	rd, err := NewReader(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b Block
+	drain := func() {
+		src.Reset(data)
+		if err := rd.Reset(src); err != nil {
+			t.Fatal(err)
+		}
+		for rd.ReadBlock(&b) == nil {
+		}
+	}
+	drain()
+	if allocs := testing.AllocsPerRun(10, drain); allocs != 0 {
+		t.Errorf("ReadBlock loop: %v allocs/op, want 0", allocs)
 	}
 }
 

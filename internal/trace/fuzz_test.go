@@ -8,6 +8,8 @@ import (
 
 // FuzzReader feeds arbitrary bytes to the trace decoder: it must never
 // panic and must either terminate with an error or consume the stream.
+// The block decoder the upload path runs must end the same way, having
+// decoded the same records.
 func FuzzReader(f *testing.F) {
 	// Seed with a valid trace and a few mutations.
 	var buf bytes.Buffer
@@ -28,13 +30,39 @@ func FuzzReader(f *testing.F) {
 		if err != nil {
 			return
 		}
+		var recs []Record
+		var readErr error
 		for i := 0; i < 100000; i++ {
-			_, err := r.Read()
-			if err == io.EOF {
-				return
-			}
+			rec, err := r.Read()
 			if err != nil {
-				return // any error is acceptable; panics are not
+				readErr = err // any error is acceptable; panics are not
+				break
+			}
+			recs = append(recs, rec)
+		}
+		if readErr == nil {
+			return // stream longer than the loop bound
+		}
+
+		br, _ := NewReader(bytes.NewReader(data))
+		var b Block
+		var got []Record
+		for {
+			err := br.ReadBlock(&b)
+			got = b.AppendRecords(got)
+			if err != nil {
+				if (err == io.EOF) != (readErr == io.EOF) {
+					t.Fatalf("ReadBlock ended with %v, Read with %v", err, readErr)
+				}
+				break
+			}
+		}
+		if len(got) != len(recs) || br.Count() != r.Count() {
+			t.Fatalf("ReadBlock decoded %d records (Count %d), Read %d (Count %d)", len(got), br.Count(), len(recs), r.Count())
+		}
+		for i := range recs {
+			if got[i] != recs[i] {
+				t.Fatalf("record %d: ReadBlock %+v, Read %+v", i, got[i], recs[i])
 			}
 		}
 	})

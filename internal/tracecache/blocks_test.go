@@ -7,57 +7,39 @@ import (
 	"repro/internal/trace"
 )
 
+// The GetBlocks tests pin the block-engine callers' name for Get to Get's
+// contract: the same shared blocks, one generation per key, and a byte
+// ledger that is exactly the columnar model of the resident blocks.
+
 func TestGetBlocksSharesConversionAndAccountsColumnarBytes(t *testing.T) {
 	c := New(0)
 	cfg := testConfig(1, 500)
-	recs, _ := c.Get(cfg)
+	b0, _ := c.Get(cfg)
 
 	b1, s1 := c.GetBlocks(cfg)
 	b2, s2 := c.GetBlocks(cfg)
-	if &b1[0] != &b2[0] {
-		t.Error("second GetBlocks returned a different block slice")
+	if &b1[0] != &b2[0] || &b1[0] != &b0[0] {
+		t.Error("GetBlocks returned a different block slice than Get")
 	}
 	if s1.Records != s2.Records {
 		t.Error("summaries differ between GetBlocks calls")
 	}
-
-	// The blocks decode to exactly the cached records.
-	got := trace.BlocksRecords(b1)
-	if len(got) != len(recs) {
-		t.Fatalf("blocks flatten to %d records, cache holds %d", len(got), len(recs))
-	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Fatalf("block record %d differs from cached record", i)
-		}
-	}
-
-	// One generation, one conversion, and the ledger splits exactly into
-	// record bytes plus the columnar model's block bytes.
 	st := c.Stats()
 	if st.Generated != 1 {
-		t.Errorf("generated %d traces, want 1 (GetBlocks reuses Get's records)", st.Generated)
+		t.Errorf("generated %d traces, want 1", st.Generated)
 	}
-	wantBlock := trace.BlocksBytes(b1)
-	wantRecord := int64(cap(recs)) * recordBytes
-	if st.BlockBytes != wantBlock {
-		t.Errorf("BlockBytes = %d, want columnar model %d", st.BlockBytes, wantBlock)
-	}
-	if st.Bytes != wantRecord+wantBlock {
-		t.Errorf("Bytes = %d, want records %d + blocks %d", st.Bytes, wantRecord, wantBlock)
+	if want := trace.BlocksBytes(b1); st.Bytes != want {
+		t.Errorf("Bytes = %d, want columnar model %d", st.Bytes, want)
 	}
 }
 
 func TestGetBlocksEvictionSettlesBlockLedger(t *testing.T) {
 	cfgA, cfgB := testConfig(1, 400), testConfig(2, 400)
-	probe := New(0)
-	recsA, _ := probe.Get(cfgA)
-	blksA, _ := probe.GetBlocks(cfgA)
-	perEntry := int64(cap(recsA))*recordBytes + trace.BlocksBytes(blksA)
+	blksA, _ := New(0).GetBlocks(cfgA)
+	perEntry := trace.BlocksBytes(blksA)
 
-	// Budget fits one record+block entry with slack but not two: caching B
-	// in both forms must evict A and return every one of A's bytes —
-	// including the columnar portion — to the ledger.
+	// Budget fits one entry with slack but not two: caching B must evict A
+	// and return every one of A's bytes to the ledger.
 	c := New(perEntry + perEntry/2)
 	c.GetBlocks(cfgA)
 	c.GetBlocks(cfgB)
@@ -68,41 +50,9 @@ func TestGetBlocksEvictionSettlesBlockLedger(t *testing.T) {
 	if st.Entries != 1 {
 		t.Errorf("%d resident entries after eviction, want 1", st.Entries)
 	}
-	recsB, _ := New(0).Get(cfgB)
 	blksB, _ := New(0).GetBlocks(cfgB)
-	if want := trace.BlocksBytes(blksB); st.BlockBytes != want {
-		t.Errorf("BlockBytes = %d after eviction, want survivor's %d", st.BlockBytes, want)
-	}
-	if want := int64(cap(recsB))*recordBytes + trace.BlocksBytes(blksB); st.Bytes != want {
+	if want := trace.BlocksBytes(blksB); st.Bytes != want {
 		t.Errorf("Bytes = %d after eviction, want survivor's %d", st.Bytes, want)
-	}
-}
-
-func TestGetBlocksCombinedOversizeForgotten(t *testing.T) {
-	cfg := testConfig(1, 400)
-	probe := New(0)
-	recs, _ := probe.Get(cfg)
-	blks, _ := probe.GetBlocks(cfg)
-	recBytes := int64(cap(recs)) * recordBytes
-	blkBytes := trace.BlocksBytes(blks)
-
-	// The records alone fit; records plus blocks do not. GetBlocks must
-	// serve correct blocks, then forget the entry rather than let it squat
-	// over budget.
-	c := New(recBytes + blkBytes/2)
-	got, _ := c.GetBlocks(cfg)
-	if len(trace.BlocksRecords(got)) != len(recs) {
-		t.Fatalf("combined-oversize blocks flatten to %d records, want %d", len(trace.BlocksRecords(got)), len(recs))
-	}
-	st := c.Stats()
-	if st.Oversize != 1 {
-		t.Errorf("oversize count %d, want 1", st.Oversize)
-	}
-	if st.Entries != 0 || st.Bytes != 0 || st.BlockBytes != 0 {
-		t.Errorf("combined-oversize entry left residue: %d entries, %d bytes, %d block bytes", st.Entries, st.Bytes, st.BlockBytes)
-	}
-	if st.Evicted != 0 {
-		t.Errorf("combined-oversize entry evicted %d residents", st.Evicted)
 	}
 }
 
@@ -118,7 +68,7 @@ func TestGetBlocksDisabledRegeneratesEachCall(t *testing.T) {
 	if st.Generated != 2 || st.Misses != 2 {
 		t.Errorf("stats = %v, want 2 generations and 2 misses", st)
 	}
-	if st.Bytes != 0 || st.BlockBytes != 0 || st.Entries != 0 {
+	if st.Bytes != 0 || st.Entries != 0 {
 		t.Errorf("disabled cache accounted residency: %v", st)
 	}
 }
@@ -148,7 +98,7 @@ func TestGetBlocksConcurrentSingleConversion(t *testing.T) {
 		t.Errorf("%d generations under concurrent GetBlocks, want 1", st.Generated)
 	}
 	blks, _ := c.GetBlocks(cfg)
-	if want := trace.BlocksBytes(blks); st.BlockBytes != want {
-		t.Errorf("BlockBytes = %d after concurrent GetBlocks, want exactly one conversion's %d", st.BlockBytes, want)
+	if want := trace.BlocksBytes(blks); st.Bytes != want {
+		t.Errorf("Bytes = %d after concurrent GetBlocks, want exactly one generation's %d", st.Bytes, want)
 	}
 }

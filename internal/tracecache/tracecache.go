@@ -3,7 +3,10 @@
 // 14-run suite, and before this cache existed every analysis regenerated
 // every trace from scratch; the cache keys each workload.Config by a
 // fingerprint (name, input, seed, events and the scalar shape fields) and
-// hands all callers the same immutable []trace.Record and Summary.
+// hands all callers the same immutable columnar blocks and Summary. The
+// blocks are generated straight into their columnar form (the workload's
+// emit callback feeds a trace.BlockBuilder), so no record slice is ever
+// materialized on the way.
 //
 // Entries are held under a configurable memory budget with LRU eviction.
 // An evicted entry is not an error: the next Get simply regenerates it —
@@ -12,21 +15,16 @@
 //
 // The cache is safe for concurrent use. Concurrent misses on the same key
 // generate the trace once; latecomers block until it is ready. Returned
-// slices are shared across callers and MUST be treated as immutable.
+// blocks are shared across callers and MUST be treated as immutable.
 package tracecache
 
 import (
 	"fmt"
 	"sync"
-	"unsafe"
 
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
-
-// recordBytes is the in-memory footprint of one trace.Record, used for
-// budget accounting.
-const recordBytes = int64(unsafe.Sizeof(trace.Record{}))
 
 // Stats counts cache traffic since construction. Generated counts actual
 // trace syntheses; with caching enabled Generated == Misses, and the
@@ -39,39 +37,25 @@ type Stats struct {
 	// Oversize counts traces larger than the whole budget: they are served
 	// to their waiters but never become resident (see Get).
 	Oversize uint64
-	// Bytes is the total resident footprint: record storage plus, for
-	// entries whose columnar form has been materialized by GetBlocks, the
-	// block storage under the columnar size model (trace.BlocksBytes).
-	Bytes int64
-	// BlockBytes is the columnar portion of Bytes: what the resident
-	// pre-decoded blocks cost on top of the record slices.
-	BlockBytes int64
-	Entries    int
+	// Bytes is the total resident footprint of the cached blocks under the
+	// columnar size model (trace.BlocksBytes).
+	Bytes   int64
+	Entries int
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("hits=%d misses=%d generated=%d evicted=%d oversize=%d entries=%d bytes=%d blockbytes=%d",
-		s.Hits, s.Misses, s.Generated, s.Evicted, s.Oversize, s.Entries, s.Bytes, s.BlockBytes)
+	return fmt.Sprintf("hits=%d misses=%d generated=%d evicted=%d oversize=%d entries=%d bytes=%d",
+		s.Hits, s.Misses, s.Generated, s.Evicted, s.Oversize, s.Entries, s.Bytes)
 }
 
-// entry is one cached trace. recs and sum are written exactly once, before
+// entry is one cached trace. blks and sum are written exactly once, before
 // ready is closed; waiters must receive on ready before reading them.
 type entry struct {
 	key   string
-	recs  []trace.Record
+	blks  []trace.Block
 	sum   workload.Summary
-	bytes int64 // accounted footprint: records, plus blocks once attached
+	bytes int64 // accounted footprint (trace.BlocksBytes)
 	ready chan struct{}
-
-	// blocks is the pre-decoded columnar form, converted lazily by the
-	// first GetBlocks on the entry. blocksReady is nil until a caller
-	// claims the conversion; it is closed with blocks already set, so
-	// waiters receive and then read blocks. blockBytes is the columnar
-	// portion of bytes, tracked separately so eviction can settle the
-	// Stats.BlockBytes ledger.
-	blocks      []trace.Block
-	blocksReady chan struct{}
-	blockBytes  int64
 
 	// LRU list links; nil/nil when unlinked (evicted or generating).
 	prev, next *entry
@@ -89,7 +73,7 @@ type Cache struct {
 	stats      Stats
 }
 
-// New returns a cache bounded to budgetBytes of record storage; a budget of
+// New returns a cache bounded to budgetBytes of block storage; a budget of
 // 0 (or negative) is unlimited.
 func New(budgetBytes int64) *Cache {
 	if budgetBytes < 0 {
@@ -119,31 +103,20 @@ func Fingerprint(cfg workload.Config) string {
 		cfg.GapMean, cfg.HistoryDepth, cfg.Sites)
 }
 
-// Get returns cfg's records and summary, generating them on first use (or
-// after eviction) and otherwise returning the shared cached copy. The
-// returned slice is shared: callers must not modify it.
-func (c *Cache) Get(cfg workload.Config) ([]trace.Record, workload.Summary) {
+// Get returns cfg's trace blocks and summary, generating them on first use
+// (or after eviction) and otherwise returning the shared cached copy. The
+// returned blocks are shared: callers must not modify them.
+func (c *Cache) Get(cfg workload.Config) ([]trace.Block, workload.Summary) {
 	if c.disabled {
-		recs, sum := generate(cfg)
+		blks, sum := generate(cfg)
 		c.mu.Lock()
 		c.stats.Misses++
 		c.stats.Generated++
 		c.mu.Unlock()
-		return recs, sum
+		return blks, sum
 	}
 
-	e := c.getEntry(Fingerprint(cfg), cfg)
-	<-e.ready
-	return e.recs, e.sum
-}
-
-// getEntry returns the live entry for key, generating the records on a
-// miss. The caller must receive on the returned entry's ready channel
-// before reading recs/sum. Accounting settles before ready closes, so once
-// a waiter is released the entry is either resident (mapped, linked,
-// counted in Stats.Bytes) or already forgotten (oversize) — an invariant
-// GetBlocks relies on when it attaches block storage to the entry later.
-func (c *Cache) getEntry(key string, cfg workload.Config) *entry {
+	key := Fingerprint(cfg)
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.stats.Hits++
@@ -152,7 +125,8 @@ func (c *Cache) getEntry(key string, cfg workload.Config) *entry {
 			c.pushFront(e)
 		}
 		c.mu.Unlock()
-		return e
+		<-e.ready
+		return e.blks, e.sum
 	}
 	e := &entry{key: key, ready: make(chan struct{})}
 	c.entries[key] = e
@@ -160,8 +134,8 @@ func (c *Cache) getEntry(key string, cfg workload.Config) *entry {
 	c.stats.Generated++
 	c.mu.Unlock()
 
-	e.recs, e.sum = generate(cfg)
-	e.bytes = int64(cap(e.recs)) * recordBytes
+	e.blks, e.sum = generate(cfg)
+	e.bytes = trace.BlocksBytes(e.blks)
 
 	c.mu.Lock()
 	// A budget pass triggered by another insert may have dropped the entry
@@ -185,84 +159,17 @@ func (c *Cache) getEntry(key string, cfg workload.Config) *entry {
 	}
 	c.mu.Unlock()
 	close(e.ready)
-	return e
+	return e.blks, e.sum
 }
 
-// GetBlocks returns cfg's trace in pre-decoded columnar form, plus its
-// summary. The blocks are converted from the cached records on first use
-// and then shared: re-simulation through the block engine never re-decodes
-// a trace the cache already holds. Like Get's record slices, the returned
-// blocks are shared across callers and MUST be treated as immutable.
-//
-// Block storage joins the owning entry's budget accounting under the
-// columnar size model (trace.BlocksBytes), so a trace cached in both forms
-// is charged for both; if the combined footprint exceeds the whole budget
-// the entry is served to its waiters and forgotten, as Get does for
-// oversize record sets.
-func (c *Cache) GetBlocks(cfg workload.Config) ([]trace.Block, workload.Summary) {
-	if c.disabled {
-		recs, sum := generate(cfg)
-		c.mu.Lock()
-		c.stats.Misses++
-		c.stats.Generated++
-		c.mu.Unlock()
-		return trace.Blocks(recs), sum
-	}
+// GetBlocks is Get under the name the block engine's callers use.
+func (c *Cache) GetBlocks(cfg workload.Config) ([]trace.Block, workload.Summary) { return c.Get(cfg) }
 
-	key := Fingerprint(cfg)
-	e := c.getEntry(key, cfg)
-	<-e.ready
-
-	c.mu.Lock()
-	if ready := e.blocksReady; ready != nil {
-		// Another caller owns (or finished) the conversion.
-		c.mu.Unlock()
-		<-ready
-		return e.blocks, e.sum
-	}
-	ready := make(chan struct{})
-	e.blocksReady = ready
-	c.mu.Unlock()
-
-	blks := trace.Blocks(e.recs)
-	bb := trace.BlocksBytes(blks)
-	e.blocks = blks
-	e.blockBytes = bb
-	close(ready)
-
-	c.mu.Lock()
-	// Only an entry still mapped (i.e. still resident — getEntry settles
-	// accounting before ready closes) carries the block storage into the
-	// ledger; an entry evicted while converting just serves its waiters.
-	if c.entries[key] == e {
-		if c.budget > 0 && e.bytes+bb > c.budget {
-			c.unlink(e)
-			delete(c.entries, key)
-			c.stats.Bytes -= e.bytes
-			c.stats.Oversize++
-		} else {
-			e.bytes += bb
-			c.stats.Bytes += bb
-			c.stats.BlockBytes += bb
-			c.evictOver()
-		}
-	}
-	c.mu.Unlock()
-	return blks, e.sum
-}
-
-// generate materializes the config into memory. The slack trim matters:
-// Records preallocates a worst-case capacity (its no-reallocation
-// guarantee), and caching that slack would make the budget accounting pay
-// for records that were never emitted.
-func generate(cfg workload.Config) ([]trace.Record, workload.Summary) {
-	recs, sum := cfg.Records()
-	if cap(recs)-len(recs) > len(recs)/8 {
-		trimmed := make([]trace.Record, len(recs))
-		copy(trimmed, recs)
-		recs = trimmed
-	}
-	return recs, sum
+// generate synthesizes the config straight into BlockCap-record blocks.
+func generate(cfg workload.Config) ([]trace.Block, workload.Summary) {
+	bb := trace.NewBlockBuilder(trace.BlockCap)
+	sum := cfg.Generate(bb.Add)
+	return bb.Blocks(), sum
 }
 
 // evictOver drops least-recently-used ready entries until the budget is
@@ -277,7 +184,6 @@ func (c *Cache) evictOver() {
 		c.unlink(e)
 		delete(c.entries, e.key)
 		c.stats.Bytes -= e.bytes
-		c.stats.BlockBytes -= e.blockBytes
 		c.stats.Evicted++
 	}
 }

@@ -23,13 +23,16 @@ func testConfig(seed uint64, events int) workload.Config {
 	}
 }
 
+// flatten returns the records a block sequence carries.
+func flatten(blks []trace.Block) []trace.Record { return trace.BlocksRecords(blks) }
+
 func TestGetCachesAndReturnsSharedSlice(t *testing.T) {
 	c := New(0)
 	cfg := testConfig(1, 500)
-	r1, s1 := c.Get(cfg)
-	r2, s2 := c.Get(cfg)
-	if &r1[0] != &r2[0] {
-		t.Error("second Get returned a different backing array")
+	b1, s1 := c.Get(cfg)
+	b2, s2 := c.Get(cfg)
+	if &b1[0] != &b2[0] {
+		t.Error("second Get returned a different block slice")
 	}
 	if s1.Records != s2.Records || s1.Instructions != s2.Instructions {
 		t.Error("summaries differ between Gets")
@@ -38,12 +41,16 @@ func TestGetCachesAndReturnsSharedSlice(t *testing.T) {
 	if st.Generated != 1 || st.Misses != 1 || st.Hits != 1 {
 		t.Errorf("stats = %v, want 1 generation, 1 miss, 1 hit", st)
 	}
+	if want := trace.BlocksBytes(b1); st.Bytes != want {
+		t.Errorf("Bytes = %d, want the columnar model's %d", st.Bytes, want)
+	}
 	wantRecs, wantSum := cfg.Records()
-	if uint64(len(r1)) != wantSum.Records || len(r1) != len(wantRecs) {
-		t.Errorf("cached %d records, direct generation yields %d", len(r1), len(wantRecs))
+	got := flatten(b1)
+	if uint64(len(got)) != wantSum.Records || len(got) != len(wantRecs) {
+		t.Errorf("cached %d records, direct generation yields %d", len(got), len(wantRecs))
 	}
 	for i := range wantRecs {
-		if r1[i] != wantRecs[i] {
+		if got[i] != wantRecs[i] {
 			t.Fatalf("cached record %d differs from direct generation", i)
 		}
 	}
@@ -71,8 +78,8 @@ func TestFingerprintSeparatesConfigs(t *testing.T) {
 
 func TestBudgetEvictsLRU(t *testing.T) {
 	cfgA, cfgB, cfgC := testConfig(1, 400), testConfig(2, 400), testConfig(3, 400)
-	recsA, _ := New(0).Get(cfgA)
-	perEntry := int64(cap(recsA)) * recordBytes
+	blksA, _ := New(0).Get(cfgA)
+	perEntry := trace.BlocksBytes(blksA)
 	// Room for roughly two entries: inserting a third must evict the LRU.
 	c := New(2*perEntry + perEntry/2)
 	c.Get(cfgA)
@@ -97,15 +104,16 @@ func TestBudgetEvictsLRU(t *testing.T) {
 func TestDisabledAlwaysRegenerates(t *testing.T) {
 	c := Disabled()
 	cfg := testConfig(1, 300)
-	r1, _ := c.Get(cfg)
-	r2, _ := c.Get(cfg)
-	if &r1[0] == &r2[0] {
-		t.Error("disabled cache returned a shared backing array")
+	b1, _ := c.Get(cfg)
+	b2, _ := c.Get(cfg)
+	if &b1[0] == &b2[0] {
+		t.Error("disabled cache returned shared block storage")
 	}
 	st := c.Stats()
-	if st.Generated != 2 || st.Hits != 0 || st.Entries != 0 {
-		t.Errorf("disabled cache stats = %v, want 2 generations, 0 hits, 0 entries", st)
+	if st.Generated != 2 || st.Hits != 0 || st.Entries != 0 || st.Bytes != 0 {
+		t.Errorf("disabled cache stats = %v, want 2 generations, 0 hits, 0 entries, 0 bytes", st)
 	}
+	r1, r2 := flatten(b1), flatten(b2)
 	for i := range r1 {
 		if r1[i] != r2[i] {
 			t.Fatalf("regenerated record %d differs", i)
@@ -118,12 +126,12 @@ func TestConcurrentSameKeyGeneratesOnce(t *testing.T) {
 	cfg := testConfig(7, 400)
 	const goroutines = 16
 	var wg sync.WaitGroup
-	recs := make([][]trace.Record, goroutines)
+	blks := make([][]trace.Block, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			recs[g], _ = c.Get(cfg)
+			blks[g], _ = c.Get(cfg)
 		}(g)
 	}
 	wg.Wait()
@@ -131,7 +139,7 @@ func TestConcurrentSameKeyGeneratesOnce(t *testing.T) {
 		t.Errorf("%d generations for one key under concurrency, want 1", st.Generated)
 	}
 	for g := 1; g < goroutines; g++ {
-		if &recs[g][0] != &recs[0][0] {
+		if &blks[g][0] != &blks[0][0] {
 			t.Errorf("goroutine %d got a private copy", g)
 		}
 	}
@@ -139,8 +147,8 @@ func TestConcurrentSameKeyGeneratesOnce(t *testing.T) {
 
 // TestConcurrentGetEvict hammers a tight-budget cache from many goroutines
 // so readers, inserts and evictions interleave; run under -race this is the
-// scheduler-safety proof for the shared cache. Every returned slice must
-// match the deterministic reference generation bit for bit.
+// scheduler-safety proof for the shared cache. Every returned trace must
+// match the deterministic reference generation.
 func TestConcurrentGetEvict(t *testing.T) {
 	const nCfg = 6
 	cfgs := make([]workload.Config, nCfg)
@@ -150,7 +158,8 @@ func TestConcurrentGetEvict(t *testing.T) {
 		want[i], _ = cfgs[i].Records()
 	}
 	// Budget fits only ~2 of the 6 working sets: constant eviction churn.
-	perEntry := int64(len(want[0])) * recordBytes
+	ref, _ := New(0).Get(cfgs[0])
+	perEntry := trace.BlocksBytes(ref)
 	c := New(2 * perEntry)
 
 	const goroutines = 8
@@ -162,7 +171,8 @@ func TestConcurrentGetEvict(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				k := (g + i) % nCfg
-				recs, sum := c.Get(cfgs[k])
+				blks, sum := c.Get(cfgs[k])
+				recs := flatten(blks)
 				if len(recs) != len(want[k]) {
 					t.Errorf("cfg %d: got %d records, want %d", k, len(recs), len(want[k]))
 					return
@@ -201,10 +211,10 @@ func TestConcurrentGetEvict(t *testing.T) {
 func TestOversizeEntryServedWithoutResidency(t *testing.T) {
 	small := testConfig(1, 100)
 	big := testConfig(2, 4000)
-	smallRecs, _ := New(0).Get(small)
-	bigRecs, _ := New(0).Get(big)
-	smallBytes := int64(cap(smallRecs)) * recordBytes
-	bigBytes := int64(cap(bigRecs)) * recordBytes
+	smallBlks, _ := New(0).Get(small)
+	bigBlks, _ := New(0).Get(big)
+	smallBytes := trace.BlocksBytes(smallBlks)
+	bigBytes := trace.BlocksBytes(bigBlks)
 	if bigBytes <= 2*smallBytes {
 		t.Fatalf("test setup: big trace (%d bytes) not big enough vs small (%d)", bigBytes, smallBytes)
 	}
@@ -215,7 +225,8 @@ func TestOversizeEntryServedWithoutResidency(t *testing.T) {
 	want, wantSum := big.Records()
 
 	for pass := 0; pass < 2; pass++ {
-		got, sum := c.Get(big)
+		blks, sum := c.Get(big)
+		got := flatten(blks)
 		if len(got) != len(want) || sum.Records != wantSum.Records {
 			t.Fatalf("pass %d: oversized trace served wrong: %d records, want %d", pass, len(got), len(want))
 		}

@@ -486,8 +486,10 @@ func (c Config) ExpectedRecords() int {
 }
 
 // Records generates the run into memory, preallocated to ExpectedRecords so
-// the append loop never reallocates. Convenient for tests and the
-// experiment harness; very long runs should stream via Generate.
+// the append loop never reallocates. Convenient for tests and clients that
+// stream records; simulation generates straight into blocks instead
+// (Generate into a trace.BlockBuilder), and very long runs should stream
+// via Generate.
 func (c Config) Records() ([]trace.Record, Summary) {
 	recs := make([]trace.Record, 0, c.ExpectedRecords())
 	sum := c.Generate(func(r trace.Record) { recs = append(recs, r) })
