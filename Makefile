@@ -4,7 +4,7 @@
 GO      ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race lint fmt vet ppmlint lint-concurrency lint-codegen escapes-check escapes-update bce-check bce-update inline-check inline-update gates bench bench-experiments bench-sessions parallel-smoke block-smoke serve-smoke session-smoke check-quick check check-ittage fuzz-smoke ci
+.PHONY: all build test race lint fmt vet ppmlint lint-concurrency lint-codegen escapes-check escapes-update bce-check bce-update inline-check inline-update gates perfbench-vet parallel-smoke block-smoke serve-smoke session-smoke check-quick check check-ittage fuzz-smoke ci
 
 all: build
 
@@ -74,23 +74,12 @@ lint-codegen:
 # All three compiler-diagnostic budget gates against their baselines.
 gates: escapes-check bce-check inline-check
 
-# Run the predictor benchmarks with -benchmem and refresh the checked-in
-# machine-readable snapshot.
-bench:
-	$(GO) run ./cmd/benchjson -out BENCH_predictors.json
-
-# Benchmark the full experiment grid through the trace cache and the block
-# engine on one and four workers, and refresh the checked-in snapshot
-# (wall-clocks, cache traffic). The ns/op numbers reflect the host's core
-# count.
-bench-experiments:
-	$(GO) run ./cmd/benchjson -experiments -out BENCH_experiments.json
-
-# Benchmark the live-session loop (create + predict stream over real HTTP)
-# and refresh the checked-in snapshot: sessions/s, serialized bytes per
-# trained session, and the server's predict-call latency quantiles.
-bench-sessions:
-	$(GO) run ./cmd/benchjson -sessions -out BENCH_sessions.json
+# The benchmark (bash perfbench/run.sh, described by BENCHMARK.json) lives in
+# its own module, so neither `go build ./...` nor `go vet ./...` compiles it.
+# Vet it here so a rename of anything it calls fails CI instead of the
+# benchmark run.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./...
 
 # The parallel runner's correctness gate: byte-identical output across -j,
 # single generation per trace, and the scheduler/cache under the race
@@ -156,4 +145,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzStateRoundTrip -fuzztime=$(FUZZTIME) ./internal/state
 
-ci: build lint lint-concurrency lint-codegen gates race parallel-smoke block-smoke serve-smoke session-smoke check-quick fuzz-smoke
+ci: build lint lint-concurrency lint-codegen gates perfbench-vet race parallel-smoke block-smoke serve-smoke session-smoke check-quick fuzz-smoke

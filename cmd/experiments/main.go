@@ -18,7 +18,7 @@
 // worker count (default GOMAXPROCS; -j 1 is the exact serial path), every
 // (run × predictor-set) cell simulates on a private engine, and each suite
 // trace is generated at most once per process through the shared trace
-// cache (-cachemb bounds its memory, -tracecache=false disables it).
+// cache (-cachemb bounds its memory).
 // Output is byte-identical at every -j.
 //
 // Cells replay through the batched block engine: each trace is generated
@@ -31,6 +31,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -73,47 +74,61 @@ func (e *env) simulate(build func() []predictor.IndirectPredictor) []sched.Resul
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its edges injected: args without the program name, the
+// stdout stream the tables render to, and the stderr stream diagnostics go
+// to. It returns the process exit code instead of calling os.Exit so tests
+// can drive the argument handling.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list       = flag.Bool("list", false, "list every registered experiment and exit")
-		all        = flag.Bool("all", false, "run every paper experiment")
-		ext        = flag.Bool("ext", false, "run every extension experiment")
-		events     = flag.Int("events", bench.DefaultEvents, "MT dispatch events per run")
-		runFilter  = flag.String("run", "", "restrict to runs whose name contains this substring")
-		jobs       = flag.Int("j", runtime.GOMAXPROCS(0), "simulation workers (1 = exact serial path)")
-		cacheMB    = flag.Int("cachemb", 512, "trace cache budget in MiB (0 = unlimited)")
-		useCache   = flag.Bool("tracecache", true, "cache generated traces; false regenerates per analysis (the pre-cache baseline)")
-		cacheStats = flag.Bool("cachestats", false, "print trace cache statistics to stderr after the run")
-		savestate  = flag.String("savestate", "", "warmstart experiment: write a mid-trace PPM-hyb snapshot to this file")
-		warmstart  = flag.String("warmstart", "", "warmstart experiment: restore this snapshot and verify byte-identical continuation")
+		list       = fs.Bool("list", false, "list every registered experiment and exit")
+		all        = fs.Bool("all", false, "run every paper experiment")
+		ext        = fs.Bool("ext", false, "run every extension experiment")
+		events     = fs.Int("events", bench.DefaultEvents, "MT dispatch events per run")
+		runFilter  = fs.String("run", "", "restrict to runs whose name contains this substring")
+		jobs       = fs.Int("j", runtime.GOMAXPROCS(0), "simulation workers (1 = exact serial path)")
+		cacheMB    = fs.Int("cachemb", 512, "trace cache budget in MiB (0 = unlimited)")
+		cacheStats = fs.Bool("cachestats", false, "print trace cache statistics to stderr after the run")
+		savestate  = fs.String("savestate", "", "warmstart experiment: write a mid-trace PPM-hyb snapshot to this file")
+		warmstart  = fs.String("warmstart", "", "warmstart experiment: restore this snapshot and verify byte-identical continuation")
 	)
 	selected := make(map[string]*bool, len(experiments))
 	for _, ex := range experiments {
-		if flag.Lookup(ex.name) != nil {
+		if fs.Lookup(ex.name) != nil {
 			// The experiment shares its name with a mode flag (warmstart's
 			// -warmstart FILE): selection happens below, via that flag or
 			// positionally.
 			selected[ex.name] = new(bool)
 			continue
 		}
-		selected[ex.name] = flag.Bool(ex.name, false, ex.group+": "+ex.doc)
+		selected[ex.name] = fs.Bool(ex.name, false, ex.group+": "+ex.doc)
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *savestate != "" || *warmstart != "" {
 		*selected["warmstart"] = true
 	}
 
 	if *list {
 		for _, ex := range experiments {
-			fmt.Printf("  %-14s %-10s %s\n", ex.name, ex.group, ex.doc)
+			fmt.Fprintf(stdout, "  %-14s %-10s %s\n", ex.name, ex.group, ex.doc)
 		}
-		return
+		return 0
 	}
 
-	for _, name := range flag.Args() {
+	for _, name := range fs.Args() {
 		sel, ok := selected[name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (see -list)\n", name)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "experiments: unknown experiment %q (see -list)\n", name)
+			return 2
 		}
 		*sel = true
 	}
@@ -128,17 +143,19 @@ func main() {
 		any = any || *selected[ex.name]
 	}
 	if !any {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 
-	cache := tracecache.New(int64(*cacheMB) << 20)
-	if !*useCache {
-		cache = tracecache.Disabled()
+	suite := filterRuns(bench.Sized(*events), *runFilter)
+	if len(suite) == 0 {
+		fmt.Fprintln(stderr, "experiments: -run filter matched no runs")
+		return 2
 	}
+	cache := tracecache.New(int64(*cacheMB) << 20)
 	e := &env{
-		out:       os.Stdout,
-		suite:     filterRuns(bench.Sized(*events), *runFilter),
+		out:       stdout,
+		suite:     suite,
 		cache:     cache,
 		pool:      sched.New(*jobs),
 		savestate: *savestate,
@@ -150,8 +167,9 @@ func main() {
 		}
 	}
 	if *cacheStats {
-		fmt.Fprintln(os.Stderr, "tracecache:", cache.Stats())
+		fmt.Fprintln(stderr, "tracecache:", cache.Stats())
 	}
+	return 0
 }
 
 func filterRuns(runs []workload.Config, substr string) []workload.Config {

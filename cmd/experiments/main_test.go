@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -110,8 +111,9 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestDisabledCacheMatchesSerial pins the -tracecache=false escape hatch to
-// the same output, serial or parallel.
+// TestDisabledCacheMatchesSerial pins a disabled trace cache, which
+// regenerates every trace per analysis, to the cached serial output at one
+// worker and at four.
 func TestDisabledCacheMatchesSerial(t *testing.T) {
 	const events = 2000
 	names := allExperimentNames()
@@ -135,28 +137,31 @@ func allExperimentNames() []string {
 	return names
 }
 
-// BenchmarkExperiments measures the full -all -ext grid through the trace
-// cache and the block engine, on one worker and on four. cmd/benchjson
-// -experiments runs these at -benchtime=1x and records them in
-// BENCH_experiments.json. Cache traffic is attached as custom metrics so
-// the snapshot proves single generation.
-func BenchmarkExperiments(b *testing.B) {
-	const events = 20000
-	names := allExperimentNames()
-
-	b.Run("blocks-j1-cached", func(b *testing.B) {
-		var generated uint64
-		for i := 0; i < b.N; i++ {
-			cache := tracecache.New(512 << 20)
-			renderExperiments(io.Discard, names, 1, cache, events)
-			generated += cache.Stats().Generated
+// TestRunArgumentErrors pins the exit-2 paths of the argument handling: a
+// -run filter that matches no run is rejected once, before any experiment
+// renders an empty table (every experiment, not only warmstart's
+// cross-process modes), and unknown flags (the retired -tracecache among
+// them) and unknown experiment names are usage errors.
+func TestRunArgumentErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-run", "nomatch", "-cond"}, "-run filter matched no runs"},
+		{[]string{"-run", "nomatch", "-fig6"}, "-run filter matched no runs"},
+		{[]string{"-run", "nomatch", "-savestate", "unused.bin"}, "-run filter matched no runs"},
+		{[]string{"-tracecache", "-fig6"}, "flag provided but not defined: -tracecache"},
+		{[]string{"nosuch"}, `unknown experiment "nosuch"`},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != 2 {
+			t.Errorf("run(%q) = %d, want 2", tc.args, code)
 		}
-		b.ReportMetric(float64(generated)/float64(b.N), "cache-gen")
-	})
-
-	b.Run("blocks-j4-cached", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			renderExperiments(io.Discard, names, 4, tracecache.New(512<<20), events)
+		if stdout.Len() != 0 {
+			t.Errorf("run(%q) rendered output:\n%s", tc.args, stdout.String())
 		}
-	})
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("run(%q) stderr = %q, want it to contain %q", tc.args, stderr.String(), tc.want)
+		}
+	}
 }

@@ -48,12 +48,9 @@ func midpointCut(blks []trace.Block) (first, rest []trace.Block, half, n int) {
 }
 
 // warmstartRun picks the trace the cross-process modes operate on: the first
-// run of the (possibly -run filtered) suite.
+// run of the (possibly -run filtered) suite, which run guarantees is
+// non-empty.
 func (e *env) warmstartRun() (name string, blks []trace.Block) {
-	if len(e.suite) == 0 {
-		fmt.Fprintln(os.Stderr, "experiments: -run filter matched no runs")
-		os.Exit(2)
-	}
 	cfg := e.suite[0]
 	blks, _ = e.cache.Get(cfg)
 	return cfg.String(), blks

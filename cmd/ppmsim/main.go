@@ -26,7 +26,7 @@ import (
 func main() {
 	var (
 		benchName  = flag.String("bench", "", "benchmark run name (see -list)")
-		traceFile  = flag.String("trace", "", "IBT1 trace file to simulate instead of a benchmark")
+		traceFile  = flag.String("trace", "", "IBT2 trace file to simulate instead of a benchmark")
 		events     = flag.Int("events", bench.DefaultEvents, "dispatch events when generating a benchmark")
 		predNames  = flag.String("predictors", "", "comma-separated predictor names (default: the Figure 6 set)")
 		components = flag.Bool("components", false, "print the PPM Markov component distribution")

@@ -10,7 +10,7 @@
 // evaluation section. See README.md for the tour, DESIGN.md for the system
 // inventory, and EXPERIMENTS.md for paper-vs-measured results.
 //
-// The benchmarks in bench_test.go (this package) regenerate the paper's
-// tables and figures under `go test -bench`, one benchmark per artifact,
-// and additionally measure raw predictor throughput.
+// The repository's one benchmark is `bash perfbench/run.sh` (described by
+// BENCHMARK.json): the experiment grid, served jobs and live sessions on
+// the suite traces, with a per-layer ledger and a host stamp.
 package repro

@@ -201,7 +201,7 @@ func BenchmarkSuite() []Workload { return bench.Suite() }
 func BenchmarkByName(name string) (Workload, bool) { return bench.ByName(name) }
 
 // WriteTrace encodes records to w in the repository's compact binary trace
-// format (IBT1).
+// format (IBT2).
 func WriteTrace(w io.Writer, recs []Record) error {
 	tw, err := trace.NewWriter(w)
 	if err != nil {
@@ -215,7 +215,7 @@ func WriteTrace(w io.Writer, recs []Record) error {
 	return tw.Flush()
 }
 
-// ReadTrace decodes an IBT1 trace stream.
+// ReadTrace decodes an IBT2 trace stream.
 func ReadTrace(r io.Reader) ([]Record, error) {
 	tr, err := trace.NewReader(r)
 	if err != nil {

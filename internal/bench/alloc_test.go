@@ -23,7 +23,7 @@ func allocTrace(t *testing.T) []trace.Record {
 		t.Fatal("gcc.cp missing from suite")
 	}
 	cfg.Events = 3000
-	blks, _ := Traces(cfg)
+	blks, _ := traces(cfg)
 	return trace.BlocksRecords(blks)
 }
 

@@ -139,7 +139,7 @@ func runSuite(t *testing.T, events int, preds func() []predictor.IndirectPredict
 	t.Helper()
 	perPred := map[string][]stats.Counters{}
 	for _, cfg := range Sized(events) {
-		blks, _ := Traces(cfg)
+		blks, _ := traces(cfg)
 		for _, c := range runBlocks(blks, preds()...) {
 			perPred[c.Predictor] = append(perPred[c.Predictor], c)
 		}
@@ -188,7 +188,7 @@ func TestFigure7Ordering(t *testing.T) {
 	}
 	perPred := map[string]map[string]float64{}
 	for _, cfg := range Sized(20000) {
-		blks, _ := Traces(cfg)
+		blks, _ := traces(cfg)
 		for _, c := range runBlocks(blks, Figure7Predictors()...) {
 			if perPred[c.Predictor] == nil {
 				perPred[c.Predictor] = map[string]float64{}

@@ -298,10 +298,6 @@ func (p *PPM) UpdateAlloc(_, target uint64, train bool) {
 	}
 }
 
-// PredictedValid reports whether the most recent Predict call produced a
-// prediction, for filtering front ends.
-func (p *PPM) PredictedValid() bool { return p.pending.ok }
-
 func trainZero(e *markovEntry, target uint64) {
 	if !e.valid {
 		*e = markovEntry{valid: true, target: target, hyst: counter.NewHysteresis()}

@@ -91,33 +91,5 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Bars renders a labelled horizontal bar chart of percentages (0-100),
-// mimicking the misprediction-ratio figures.
-func Bars(w io.Writer, title string, labels []string, values []float64, maxWidth int) {
-	if maxWidth <= 0 {
-		maxWidth = 50
-	}
-	if title != "" {
-		fmt.Fprintln(w, title)
-	}
-	labW := 0
-	maxV := 0.0
-	for i, l := range labels {
-		if len(l) > labW {
-			labW = len(l)
-		}
-		if values[i] > maxV {
-			maxV = values[i]
-		}
-	}
-	if maxV == 0 {
-		maxV = 1
-	}
-	for i, l := range labels {
-		n := int(values[i] / maxV * float64(maxWidth))
-		fmt.Fprintf(w, "%s  %6.2f%%  %s\n", pad(l, labW), values[i], strings.Repeat("#", n))
-	}
-}
-
 // Pct formats a ratio in [0,1] as a percentage string.
 func Pct(r float64) string { return fmt.Sprintf("%.2f", 100*r) }

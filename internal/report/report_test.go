@@ -45,28 +45,6 @@ func TestTableAddRowf(t *testing.T) {
 	}
 }
 
-func TestBars(t *testing.T) {
-	var b strings.Builder
-	Bars(&b, "Mispredictions", []string{"BTB", "PPM"}, []float64{40, 10}, 20)
-	out := b.String()
-	if !strings.Contains(out, "Mispredictions") {
-		t.Error("missing title")
-	}
-	btbHashes := strings.Count(strings.Split(out, "\n")[1], "#")
-	ppmHashes := strings.Count(strings.Split(out, "\n")[2], "#")
-	if btbHashes != 20 || ppmHashes != 5 {
-		t.Errorf("bar lengths %d/%d, want 20/5\n%s", btbHashes, ppmHashes, out)
-	}
-}
-
-func TestBarsZeroMax(t *testing.T) {
-	var b strings.Builder
-	Bars(&b, "", []string{"x"}, []float64{0}, 0)
-	if !strings.Contains(b.String(), "0.00%") {
-		t.Errorf("zero bars output: %q", b.String())
-	}
-}
-
 func TestPct(t *testing.T) {
 	if Pct(0.0947) != "9.47" {
 		t.Errorf("Pct = %q", Pct(0.0947))

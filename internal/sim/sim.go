@@ -135,16 +135,6 @@ func (e *Engine) ProcessReader(ctx context.Context, r *trace.Reader) error {
 // Counters returns per-predictor accuracy counters, in predictor order.
 func (e *Engine) Counters() []stats.Counters { return e.counters }
 
-// CountersFor returns the counters of the named predictor, or false.
-func (e *Engine) CountersFor(name string) (stats.Counters, bool) {
-	for _, c := range e.counters {
-		if c.Predictor == name {
-			return c, true
-		}
-	}
-	return stats.Counters{}, false
-}
-
 // RAS exposes the simulated return address stack.
 func (e *Engine) RAS() *ras.Stack { return e.ras }
 

@@ -96,16 +96,6 @@ func TestEngineReset(t *testing.T) {
 	}
 }
 
-func TestCountersFor(t *testing.T) {
-	e := New(btb.New(64), btb.New2b(64))
-	if _, ok := e.CountersFor("BTB2b"); !ok {
-		t.Error("CountersFor missed BTB2b")
-	}
-	if _, ok := e.CountersFor("nope"); ok {
-		t.Error("CountersFor found a ghost")
-	}
-}
-
 func TestProcessReader(t *testing.T) {
 	var buf bytes.Buffer
 	w, _ := trace.NewWriter(&buf)

@@ -2,23 +2,9 @@ package sim
 
 import "repro/internal/state"
 
-// Snapshottable reports whether every attached predictor implements
-// state.Snapshotter — the precondition for Engine.Snapshot. The oracle
-// (unbounded measurement device) is the one shipped predictor that does
-// not.
-func (e *Engine) Snapshottable() bool {
-	for _, p := range e.preds {
-		if _, ok := p.(state.Snapshotter); !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // Snapshot implements state.Snapshotter: the engine's accounting and
 // per-predictor counters, the RAS, then every predictor in attachment
-// order. Panics if a predictor does not implement state.Snapshotter; guard
-// with Snapshottable for dynamic sets.
+// order. Panics if a predictor does not implement state.Snapshotter.
 func (e *Engine) Snapshot(w *state.Writer) {
 	w.Begin(state.SecEngine)
 	w.U64(uint64(len(e.preds)))
@@ -40,7 +26,7 @@ func (e *Engine) Snapshot(w *state.Writer) {
 
 // Restore implements state.Snapshotter into an engine built over an
 // identically-ordered predictor set. Panics if a predictor does not
-// implement state.Snapshotter; guard with Snapshottable for dynamic sets.
+// implement state.Snapshotter.
 func (e *Engine) Restore(r *state.Reader) error {
 	if err := r.Begin(state.SecEngine); err != nil {
 		return err

@@ -84,19 +84,6 @@ func MeanRatio(runs []Counters) float64 {
 	return sum / float64(n)
 }
 
-// WeightedRatio returns total mispredictions over total lookups across runs.
-func WeightedRatio(runs []Counters) float64 {
-	var mis, total uint64
-	for _, r := range runs {
-		mis += r.Mispredictions()
-		total += r.Lookups
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(mis) / float64(total)
-}
-
 // Distribution summarizes a discrete distribution (e.g. per-component
 // accesses in the PPM stack).
 type Distribution struct {

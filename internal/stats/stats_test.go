@@ -57,19 +57,6 @@ func TestMeanRatio(t *testing.T) {
 	}
 }
 
-func TestWeightedRatio(t *testing.T) {
-	runs := []Counters{
-		{Lookups: 100, Wrong: 10},
-		{Lookups: 300, Wrong: 10},
-	}
-	if got := WeightedRatio(runs); math.Abs(got-20.0/400.0) > 1e-12 {
-		t.Errorf("WeightedRatio = %v", got)
-	}
-	if WeightedRatio(nil) != 0 {
-		t.Error("WeightedRatio(nil) != 0")
-	}
-}
-
 func TestRatiosBounded(t *testing.T) {
 	f := func(correct, wrong, nop uint32) bool {
 		c := Counters{
