@@ -119,7 +119,8 @@ session-smoke:
 lint: fmt vet ppmlint
 
 # The correctness harness's bounded CI pass: regression-corpus replay, a
-# differential hunt of every predictor family against its naive reference,
+# hunt of every lock-step oracle in check.Oracles (naive reference, block
+# engine vs record engine, snapshot/restore vs uncut run),
 # the metamorphic identities (cache on/off, worker counts, served vs serial,
 # split vs concat sessions, upload vs batch), and byte-offset fault sweeps
 # over the trace decoder and the upload endpoint.

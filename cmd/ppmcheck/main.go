@@ -1,27 +1,32 @@
-// Command ppmcheck is the simulator's correctness harness: it hunts for
-// disagreements between the optimized predictors and their naive references,
-// between the block engine and the record engine, and between
-// snapshot/restore-at-every-cut chains and uncut runs; it replays the
-// checked-in regression corpus, runs the metamorphic properties (caching,
-// worker count, serving and session granularity must never change a result
-// byte), and sweeps fault injection across the trace decoder and the upload
-// path.
+// Command ppmcheck is the simulator's correctness harness. It hunts every
+// lock-step oracle in check.Oracles — the optimized predictors against
+// their naive references, the block engine against the record engine, and
+// snapshot/restore-at-every-cut chains against uncut runs — over randomized
+// traces; it replays the checked-in regression corpus, runs the metamorphic
+// properties (caching, worker count, serving and session granularity must
+// never change a result byte), and sweeps fault injection across the trace
+// decoder and the upload path.
 //
 //	ppmcheck -quick              the bounded CI pass (corpus + small sweeps)
-//	ppmcheck -seeds 500          a long differential hunt
-//	ppmcheck -families PPM-hyb   restrict the differential hunt
+//	ppmcheck -seeds 500          a long hunt
+//	ppmcheck -families PPM-hyb   restrict every hunt to the named families
 //	ppmcheck -corpus DIR         corpus location (default internal/check/testdata/corpus)
 //
-// When the differential oracle finds a divergence, ppmcheck minimizes the
-// failing trace with delta debugging, writes it into the corpus as a new
-// seed (diff-<family>-seed<N>), and exits nonzero: the bug becomes a
-// regression test before it is even fixed.
+// Each oracle hunts the named families it covers; a name no oracle covers
+// is a usage error (exit 2). When an oracle finds a divergence, ppmcheck
+// minimizes the failing trace with delta debugging, writes it into the
+// corpus as a new seed (<kind>-<family>-seed<N>, replayed through the same
+// oracle), and exits 1: the bug becomes a regression test before it is
+// even fixed.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/check"
@@ -29,75 +34,100 @@ import (
 )
 
 func main() {
-	var (
-		quick    = flag.Bool("quick", false, "bounded pass: corpus replay, small differential/metamorphic/fault sweeps")
-		seeds    = flag.Int("seeds", 50, "random seeds per family for the differential hunt")
-		events   = flag.Int("events", 2000, "records per generated trace")
-		families = flag.String("families", "", "comma-separated predictor families (default all)")
-		corpus   = flag.String("corpus", "internal/check/testdata/corpus", "regression-seed corpus directory")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is main with its edges injected: args without the program name, the
+// stdout stream ok lines go to, and the stderr stream failures go to. It
+// returns the process exit code instead of calling os.Exit so tests can
+// drive the argument handling.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ppmcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		quick    = fs.Bool("quick", false, "bounded pass: corpus replay, small differential/metamorphic/fault sweeps")
+		seeds    = fs.Int("seeds", 50, "random seeds per family for each oracle's hunt")
+		events   = fs.Int("events", 2000, "records per generated trace")
+		families = fs.String("families", "", "comma-separated predictor families (default all)")
+		corpus   = fs.String("corpus", "internal/check/testdata/corpus", "regression-seed corpus directory")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *quick {
 		*seeds, *events = 6, 800
 	}
-	fams := check.Families()
-	// The snapshot hunt also covers the snapshot-capable extension
-	// predictors; -families restricts both hunts to the same list.
-	stateFams := check.StateFamilies()
+	var named []string
 	if *families != "" {
-		fams = strings.Split(*families, ",")
-		stateFams = fams
+		named = strings.Split(*families, ",")
+		for _, fam := range named {
+			if !slices.ContainsFunc(check.Oracles, func(o check.Oracle) bool { return o.Covers(fam) }) {
+				fmt.Fprintf(stderr, "ppmcheck: no oracle covers predictor family %q\n", fam)
+				return 2
+			}
+		}
 	}
 
-	ok := true
-	ok = replayCorpus(*corpus) && ok
-	ok = diffHunt(fams, *seeds, *events, *corpus) && ok
-	ok = blocksHunt(fams, *seeds, *events, *corpus) && ok
-	ok = stateHunt(stateFams, *seeds, *events, *corpus) && ok
-	ok = run("metamorphic", check.Metamorphic(1, *events)) && ok
-	ok = run("truncation sweep", check.TruncationSweep(check.RandomRecords(9, 60), nil)) && ok
-	ok = run("errafter sweep", check.ErrAfterSweep(check.RandomRecords(9, 60))) && ok
-	ok = uploadSweep() && ok
-	if !ok {
-		os.Exit(1)
+	c := console{stdout, stderr}
+	ok := c.replayCorpus(*corpus)
+	for _, o := range check.Oracles {
+		fams := o.Families
+		if named != nil {
+			fams = slices.DeleteFunc(slices.Clone(named), func(fam string) bool { return !o.Covers(fam) })
+		}
+		ok = c.hunt(o, fams, *seeds, *events, *corpus) && ok
 	}
-	fmt.Println("ppmcheck: all checks passed")
+	ok = c.report("metamorphic", check.Metamorphic(1, *events)) && ok
+	ok = c.report("truncation sweep", check.TruncationSweep(check.RandomRecords(9, 60), nil)) && ok
+	ok = c.report("errafter sweep", check.ErrAfterSweep(check.RandomRecords(9, 60))) && ok
+	ok = c.uploadSweep() && ok
+	if !ok {
+		return 1
+	}
+	fmt.Fprintln(stdout, "ppmcheck: all checks passed")
+	return 0
 }
 
-// run reports one named check.
-func run(name string, err error) bool {
+// console holds the streams checks report to.
+type console struct{ stdout, stderr io.Writer }
+
+// report reports one named check.
+func (c console) report(name string, err error) bool {
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL %s: %v\n", name, err)
+		fmt.Fprintf(c.stderr, "FAIL %s: %v\n", name, err)
 		return false
 	}
-	fmt.Printf("ok   %s\n", name)
+	fmt.Fprintf(c.stdout, "ok   %s\n", name)
 	return true
 }
 
 // replayCorpus re-runs every checked-in regression seed.
-func replayCorpus(dir string) bool {
+func (c console) replayCorpus(dir string) bool {
 	seeds, err := check.LoadSeeds(dir)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL corpus: %v\n", err)
+		fmt.Fprintf(c.stderr, "FAIL corpus: %v\n", err)
 		return false
 	}
 	ok := true
 	for _, e := range seeds {
 		if err := check.ReplaySeed(e); err != nil {
-			fmt.Fprintf(os.Stderr, "FAIL corpus seed %s: %v\n", e.Seed.Name, err)
+			fmt.Fprintf(c.stderr, "FAIL corpus seed %s: %v\n", e.Seed.Name, err)
 			ok = false
 		}
 	}
 	if ok {
-		fmt.Printf("ok   corpus (%d seeds)\n", len(seeds))
+		fmt.Fprintf(c.stdout, "ok   corpus (%d seeds)\n", len(seeds))
 	}
 	return ok
 }
 
-// diffHunt lock-steps every family against its reference over randomized
-// traces; a divergence is minimized and written back into the corpus.
-func diffHunt(fams []string, seeds, events int, corpusDir string) bool {
+// hunt lock-steps every family through oracle o over randomized traces; a
+// divergence is minimized against o and written back into the corpus as a
+// seed of o's kind.
+func (c console) hunt(o check.Oracle, fams []string, seeds, events int, corpusDir string) bool {
 	ok := true
 	for _, fam := range fams {
 		for seed := uint64(1); seed <= uint64(seeds); seed++ {
@@ -108,131 +138,43 @@ func diffHunt(fams []string, seeds, events int, corpusDir string) bool {
 				{"workload", check.RandomTrace(seed, events)},
 				{"raw", check.RandomRecords(seed, events)},
 			} {
-				d, err := check.DiffFamily(fam, in.recs)
+				d, err := o.Diff(fam, in.recs)
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "FAIL differential %s: %v\n", fam, err)
+					fmt.Fprintf(c.stderr, "FAIL %s %s: %v\n", o.Label, fam, err)
 					return false
 				}
 				if d == nil {
 					continue
 				}
 				ok = false
-				min := check.Shrink(in.recs, func(r []trace.Record) bool { return check.Diverges(fam, r) })
-				fmt.Fprintf(os.Stderr, "FAIL differential %s (%s seed %d): %s\n  minimized to %d records\n", fam, in.kind, seed, d, len(min))
-				seedName := fmt.Sprintf("diff-%s-seed%d", strings.ToLower(fam), seed)
+				min := check.Shrink(in.recs, func(r []trace.Record) bool { return o.Diverges(fam, r) })
+				fmt.Fprintf(c.stderr, "FAIL %s (%s seed %d): %s\n  minimized to %d records\n", o.Label, in.kind, seed, d, len(min))
+				seedName := fmt.Sprintf("%s-%s-seed%d", o.Kind, strings.ToLower(fam), seed)
 				werr := check.WriteSeed(corpusDir, check.Seed{
-					Name: seedName, Family: fam, Kind: "diff",
-					Note: fmt.Sprintf("minimized divergence found by ppmcheck (%s stream, seed %d)", in.kind, seed),
+					Name: seedName, Family: fam, Kind: o.Kind,
+					Note: fmt.Sprintf("minimized %s divergence found by ppmcheck (%s stream, seed %d)", o.Label, in.kind, seed),
 				}, min)
 				if werr != nil {
-					fmt.Fprintf(os.Stderr, "  (could not write corpus seed: %v)\n", werr)
+					fmt.Fprintf(c.stderr, "  (could not write corpus seed: %v)\n", werr)
 				} else {
-					fmt.Fprintf(os.Stderr, "  repro written to %s/%s.{json,ibt2}\n", corpusDir, seedName)
+					fmt.Fprintf(c.stderr, "  repro written to %s/%s.{json,ibt2}\n", corpusDir, seedName)
 				}
 			}
 		}
 	}
 	if ok {
-		fmt.Printf("ok   differential (%d families x %d seeds x 2 streams)\n", len(fams), seeds)
-	}
-	return ok
-}
-
-// blocksHunt lock-steps every family's block-engine replay against its
-// record-engine replay over randomized traces; a divergence is minimized
-// against the block predicate and written back into the corpus.
-func blocksHunt(fams []string, seeds, events int, corpusDir string) bool {
-	ok := true
-	for _, fam := range fams {
-		for seed := uint64(1); seed <= uint64(seeds); seed++ {
-			for _, in := range []struct {
-				kind string
-				recs []trace.Record
-			}{
-				{"workload", check.RandomTrace(seed, events)},
-				{"raw", check.RandomRecords(seed, events)},
-			} {
-				d, err := check.DiffBlocks(fam, in.recs)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "FAIL blocks-vs-records %s: %v\n", fam, err)
-					return false
-				}
-				if d == nil {
-					continue
-				}
-				ok = false
-				min := check.Shrink(in.recs, func(r []trace.Record) bool { return check.DivergesBlocks(fam, r) })
-				fmt.Fprintf(os.Stderr, "FAIL blocks-vs-records %s (%s seed %d): %s\n  minimized to %d records\n", fam, in.kind, seed, d, len(min))
-				seedName := fmt.Sprintf("blocks-%s-seed%d", strings.ToLower(fam), seed)
-				werr := check.WriteSeed(corpusDir, check.Seed{
-					Name: seedName, Family: fam, Kind: "blocks",
-					Note: fmt.Sprintf("minimized block-engine divergence found by ppmcheck (%s stream, seed %d)", in.kind, seed),
-				}, min)
-				if werr != nil {
-					fmt.Fprintf(os.Stderr, "  (could not write corpus seed: %v)\n", werr)
-				} else {
-					fmt.Fprintf(os.Stderr, "  repro written to %s/%s.{json,ibt2}\n", corpusDir, seedName)
-				}
-			}
-		}
-	}
-	if ok {
-		fmt.Printf("ok   blocks-vs-records (%d families x %d seeds x 2 streams)\n", len(fams), seeds)
-	}
-	return ok
-}
-
-// stateHunt lock-steps every family's snapshot/restore-at-every-cut chain
-// against its uncut replay over randomized traces; a divergence is minimized
-// against the snapshot predicate and written back into the corpus.
-func stateHunt(fams []string, seeds, events int, corpusDir string) bool {
-	ok := true
-	for _, fam := range fams {
-		for seed := uint64(1); seed <= uint64(seeds); seed++ {
-			for _, in := range []struct {
-				kind string
-				recs []trace.Record
-			}{
-				{"workload", check.RandomTrace(seed, events)},
-				{"raw", check.RandomRecords(seed, events)},
-			} {
-				d, err := check.DiffState(fam, in.recs)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "FAIL snapshot-restore %s: %v\n", fam, err)
-					return false
-				}
-				if d == nil {
-					continue
-				}
-				ok = false
-				min := check.Shrink(in.recs, func(r []trace.Record) bool { return check.DivergesState(fam, r) })
-				fmt.Fprintf(os.Stderr, "FAIL snapshot-restore %s (%s seed %d): %s\n  minimized to %d records\n", fam, in.kind, seed, d, len(min))
-				seedName := fmt.Sprintf("state-%s-seed%d", strings.ToLower(fam), seed)
-				werr := check.WriteSeed(corpusDir, check.Seed{
-					Name: seedName, Family: fam, Kind: "state",
-					Note: fmt.Sprintf("minimized snapshot/restore divergence found by ppmcheck (%s stream, seed %d)", in.kind, seed),
-				}, min)
-				if werr != nil {
-					fmt.Fprintf(os.Stderr, "  (could not write corpus seed: %v)\n", werr)
-				} else {
-					fmt.Fprintf(os.Stderr, "  repro written to %s/%s.{json,ibt2}\n", corpusDir, seedName)
-				}
-			}
-		}
-	}
-	if ok {
-		fmt.Printf("ok   snapshot-restore (%d families x %d seeds x 2 streams)\n", len(fams), seeds)
+		fmt.Fprintf(c.stdout, "ok   %s (%d families x %d seeds x 2 streams)\n", o.Label, len(fams), seeds)
 	}
 	return ok
 }
 
 // uploadSweep runs the HTTP upload truncation sweep.
-func uploadSweep() bool {
+func (c console) uploadSweep() bool {
 	report, err := check.UploadTruncationSweep(check.RandomRecords(9, 40), "BTB")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL upload sweep: %v\n", err)
+		fmt.Fprintf(c.stderr, "FAIL upload sweep: %v\n", err)
 		return false
 	}
-	fmt.Printf("ok   upload sweep (%d clean prefixes, %d rejected cuts, 0 leaked jobs)\n", report.Accepted, report.Rejected)
+	fmt.Fprintf(c.stdout, "ok   upload sweep (%d clean prefixes, %d rejected cuts, 0 leaked jobs)\n", report.Accepted, report.Rejected)
 	return true
 }

@@ -147,9 +147,8 @@ func MPKI(instructions, mispredictions uint64) float64 {
 	return pipeline.MPKI(instructions, mispredictions)
 }
 
-// NewPredictor constructs a paper-configured predictor by its Figure 6/7
-// label ("BTB", "BTB2b", "GAp", "TC-PIB", "Dpath", "Cascade", "PPM-hyb",
-// "PPM-PIB", "PPM-hyb-biased"); ok is false for unknown names.
+// NewPredictor constructs a paper-configured predictor by its label, one of
+// PredictorNames; ok is false for unknown names.
 func NewPredictor(name string) (Predictor, bool) { return bench.NewPredictor(name) }
 
 // PredictorNames lists every label NewPredictor accepts.

@@ -3,9 +3,6 @@ package check
 import (
 	"fmt"
 
-	"repro/internal/bench"
-	"repro/internal/cbt"
-	"repro/internal/core"
 	"repro/internal/oracle"
 	"repro/internal/predictor"
 	"repro/internal/sched"
@@ -28,20 +25,6 @@ import (
 // shrunken) traces still cross many block boundaries and the cross-block
 // state continuity of histories, RAS and selectors is on the hook.
 var blockDiffCaps = []int{trace.BlockCap, 7}
-
-// BlockDivergence records a disagreement between the record engine and the
-// block engine over the same trace.
-type BlockDivergence struct {
-	Family   string
-	BlockCap int
-	Detail   string
-}
-
-// String formats the divergence for bug reports.
-func (d *BlockDivergence) String() string {
-	return fmt.Sprintf("%s: block engine (cap %d) diverged from record engine: %s",
-		d.Family, d.BlockCap, d.Detail)
-}
 
 // enginesMatch compares every observable of two engines that replayed the
 // same trace: accounting, RAS accuracy and per-predictor counters.
@@ -85,32 +68,13 @@ func BlockEngineIdentity(recs []trace.Record, build func() []predictor.IndirectP
 	return nil
 }
 
-// DiffBlocks replays recs through a single predictor family under both
-// engines and returns the first divergence, or nil if they agreed at every
-// block capacity. An unknown label is an error.
-func DiffBlocks(family string, recs []trace.Record) (*BlockDivergence, error) {
-	for _, bcap := range blockDiffCaps {
-		p1, ok := bench.NewPredictor(family)
-		if !ok {
-			return nil, fmt.Errorf("check: unknown predictor family %q", family)
-		}
-		p2, _ := bench.NewPredictor(family)
-		rec := sim.New(p1)
-		rec.ProcessAll(recs)
-		blk := sim.New(p2)
-		blk.ProcessBlocks(trace.BlocksSized(recs, bcap))
-		if err := enginesMatch(rec, blk); err != nil {
-			return &BlockDivergence{Family: family, BlockCap: bcap, Detail: err.Error()}, nil
-		}
-	}
-	return nil, nil
-}
-
-// DivergesBlocks reports whether the family's block replay disagrees with
-// its record replay — the predicate the shrinker minimizes against.
-func DivergesBlocks(family string, recs []trace.Record) bool {
-	d, err := DiffBlocks(family, recs)
-	return err == nil && d != nil
+// diffBlocks replays recs through a single predictor family under both
+// engines and describes the first disagreement at any block capacity.
+func diffBlocks(family string, recs []trace.Record) error {
+	return BlockEngineIdentity(recs, func() []predictor.IndirectPredictor {
+		p, _ := newStatePredictor(family)
+		return []predictor.IndirectPredictor{p}
+	})
 }
 
 // BlocksVsRecords checks the full matrix contract: sched.SimulateBlocks
@@ -137,16 +101,16 @@ func BlocksVsRecords(suite []workload.Config, build func() []predictor.IndirectP
 
 // ExtensionPredictors builds the predictor set of the extension experiments
 // that carry their own batch fast paths but sit outside the bench families:
-// the value-keyed CBT (ValueAware, so the Value lane is on the hook), the
-// leaky-filtered PPM, the multi-target Markov stack, and the unbounded
-// oracle that exercises the engine's record-at-a-time fallback inside a
-// block. BlockEngineIdentity over this set pins all of them to the record
-// engine at every block capacity.
+// the snapshot extensions (the value-keyed CBT, the leaky-filtered PPM and
+// the multi-target Markov stack), plus the unbounded oracle that exercises
+// the engine's record-at-a-time fallback inside a block. BlockEngineIdentity
+// over this set pins them, mixed in one block, to the record engine at
+// every block capacity.
 func ExtensionPredictors() []predictor.IndirectPredictor {
-	return []predictor.IndirectPredictor{
-		cbt.New(cbt.Config{Entries: 2048, Availability: 0.5, Seed: 0xCB7}),
-		core.PaperFiltered(),
-		core.NewMultiTarget(10, 4),
-		oracle.New(8),
+	ps := make([]predictor.IndirectPredictor, 0, len(stateExtensions)+1)
+	for _, fam := range stateExtensions {
+		p, _ := newStatePredictor(fam)
+		ps = append(ps, p)
 	}
+	return append(ps, oracle.New(8))
 }

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/hashing"
@@ -36,28 +37,58 @@ func TestCorpusReplay(t *testing.T) {
 	}
 }
 
-// TestDifferentialQuick lock-steps every predictor family against its
-// naive reference over a bounded set of randomized traces: structured
-// workloads and raw adversarial record streams.
+// TestCorpusCoversEveryOracle requires at least one corpus seed of every
+// oracle's kind, so `go test` replays every lock-step oracle's corpus
+// branch.
+func TestCorpusCoversEveryOracle(t *testing.T) {
+	seeds, err := LoadSeeds("testdata/corpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range Oracles {
+		if !slices.ContainsFunc(seeds, func(e SeedEntry) bool { return e.Seed.Kind == o.Kind }) {
+			t.Errorf("no corpus seed of kind %q replays the %s oracle", o.Kind, o.Label)
+		}
+	}
+}
+
+// TestDifferentialQuick lock-steps every predictor family through every
+// oracle in Oracles that covers it — optimized vs naive reference, block vs
+// record engine, snapshot/restore chain vs uncut run — over a bounded set
+// of randomized traces: structured workloads and raw adversarial record
+// streams.
 func TestDifferentialQuick(t *testing.T) {
-	for _, fam := range Families() {
+	var fams []string
+	for _, o := range Oracles {
+		for _, fam := range o.Families {
+			if !slices.Contains(fams, fam) {
+				fams = append(fams, fam)
+			}
+		}
+	}
+	for _, fam := range fams {
 		fam := fam
 		t.Run(fam, func(t *testing.T) {
-			for seed := uint64(1); seed <= quickSeeds; seed++ {
-				for _, in := range []struct {
-					kind string
-					recs []trace.Record
-				}{
-					{"workload", RandomTrace(seed, quickEvents)},
-					{"raw", RandomRecords(seed, quickEvents)},
-				} {
-					d, err := DiffFamily(fam, in.recs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if d != nil {
-						min := Shrink(in.recs, func(r []trace.Record) bool { return Diverges(fam, r) })
-						t.Fatalf("%s seed %d: %s\nminimized to %d records: %v", in.kind, seed, d, len(min), min)
+			for _, o := range Oracles {
+				if !o.Covers(fam) {
+					continue
+				}
+				for seed := uint64(1); seed <= quickSeeds; seed++ {
+					for _, in := range []struct {
+						kind string
+						recs []trace.Record
+					}{
+						{"workload", RandomTrace(seed, quickEvents)},
+						{"raw", RandomRecords(seed, quickEvents)},
+					} {
+						d, err := o.Diff(fam, in.recs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if d != nil {
+							min := Shrink(in.recs, func(r []trace.Record) bool { return o.Diverges(fam, r) })
+							t.Fatalf("%s %s seed %d: %s\nminimized to %d records: %v", o.Label, in.kind, seed, d, len(min), min)
+						}
 					}
 				}
 			}

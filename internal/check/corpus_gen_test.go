@@ -74,4 +74,13 @@ func TestGenerateCorpusSeeds(t *testing.T) {
 	}, RandomRecords(3, 200)); err != nil {
 		t.Fatal(err)
 	}
+
+	// Preventive snapshot seed: an empty Family replays every family the
+	// snapshot oracle covers, mirroring blocks-engine-identity.
+	if err := WriteSeed(dir, Seed{
+		Name: "state-engine-identity", Kind: "state",
+		Note: "preventive seed: snapshot/restore at every probed cut cadence must match the uncut run for every snapshot family",
+	}, RandomRecords(4, 300)); err != nil {
+		t.Fatal(err)
+	}
 }

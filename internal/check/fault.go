@@ -27,7 +27,9 @@ import (
 
 // EncodeBoundaries serializes recs to an IBT2 stream and returns the byte
 // offsets of every record boundary: offsets[k] is the length of a stream
-// holding exactly the first k records (offsets[0] is the header).
+// holding exactly the first k records (offsets[0] is the header). It is the
+// harness's one IBT2 encoder; callers that need only the bytes drop the
+// offsets (flushing after every record adds no bytes).
 func EncodeBoundaries(recs []trace.Record) ([]byte, []int64, error) {
 	var buf bytes.Buffer
 	w, err := trace.NewWriter(&buf)

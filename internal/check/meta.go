@@ -34,11 +34,11 @@ import (
 func SameSeedIdentity(cfg workload.Config) error {
 	recsA, sumA := cfg.Records()
 	recsB, sumB := cfg.Records()
-	encA, err := encodeTrace(recsA)
+	encA, _, err := EncodeBoundaries(recsA)
 	if err != nil {
 		return err
 	}
-	encB, err := encodeTrace(recsB)
+	encB, _, err := EncodeBoundaries(recsB)
 	if err != nil {
 		return err
 	}
@@ -178,7 +178,7 @@ func UploadVsSerial(recs []trace.Record, predictors []string) error {
 	_, ts, shutdown := startServer()
 	defer shutdown()
 
-	enc, err := encodeTrace(recs)
+	enc, _, err := EncodeBoundaries(recs)
 	if err != nil {
 		return err
 	}
@@ -255,24 +255,6 @@ func Metamorphic(seed uint64, events int) error {
 }
 
 // --- helpers ---------------------------------------------------------------
-
-// encodeTrace serializes records as an in-memory IBT2 stream.
-func encodeTrace(recs []trace.Record) ([]byte, error) {
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			return nil, err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
 
 // startServer boots a serve.Server on an httptest listener with quick-test
 // sizing; the returned shutdown drains it. Shutdown is idempotent so sweeps
