@@ -101,9 +101,10 @@ func BlocksVsRecords(suite []workload.Config, build func() []predictor.IndirectP
 
 // ExtensionPredictors builds the predictor set of the extension experiments
 // that carry their own batch fast paths but sit outside the bench families:
-// the snapshot extensions (the value-keyed CBT, the leaky-filtered PPM and
-// the multi-target Markov stack), plus the unbounded oracle that exercises
-// the engine's record-at-a-time fallback inside a block. BlockEngineIdentity
+// the snapshot extensions (the value-keyed CBT, the leaky-filtered PPM, the
+// multi-target Markov stack and the ppmVariants PPM-hyb configurations),
+// plus the unbounded oracle that exercises the engine's record-at-a-time
+// fallback inside a block. BlockEngineIdentity
 // over this set pins them, mixed in one block, to the record engine at
 // every block capacity.
 func ExtensionPredictors() []predictor.IndirectPredictor {

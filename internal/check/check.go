@@ -27,9 +27,32 @@ import (
 	"repro/internal/twolevel"
 )
 
-// Families lists the predictor labels the harness covers differentially:
-// every label the optimized registry accepts.
+// Families lists the bench predictor labels the harness covers: every
+// label the optimized registry accepts. The differential oracle adds
+// ppmVariants; the block and snapshot oracles add stateExtensions.
 func Families() []string { return bench.PredictorNames() }
+
+// ppmVariants are check-local labels for PPM-hyb configurations the
+// experiments run outside the paper grid: the low-order SFSXS select of the
+// -ext variants study, and a BIU bounded to 8 entries as in the finite-BIU
+// sweep, small enough that the oracles' random traces overflow it. Every
+// lock-step oracle covers them.
+var ppmVariants = []string{"PPM-hyb-low", "PPM-hyb-biu8"}
+
+// ppmVariant returns the configuration behind a ppmVariants label.
+func ppmVariant(name string) (core.Config, bool) {
+	cfg := core.DefaultConfig(core.Hybrid)
+	cfg.Name = name
+	switch name {
+	case "PPM-hyb-low":
+		cfg.LowSelect = true
+	case "PPM-hyb-biu8":
+		cfg.BIULimit = 8
+	default:
+		return core.Config{}, false
+	}
+	return cfg, true
+}
 
 // refPaperGAp restates the Section 5 GAp configuration for the reference
 // side. The literals are intentionally duplicated from the optimized
@@ -174,6 +197,9 @@ func NewReference(name string) (predictor.IndirectPredictor, bool) {
 		return NewRefPPM(core.DefaultConfig(core.HybridBiased)), true
 	case "ITTAGE":
 		return NewRefITTAGE(), true
+	case "PPM-hyb-low", "PPM-hyb-biu8":
+		cfg, _ := ppmVariant(name)
+		return NewRefPPM(cfg), true
 	case "Cascade-u":
 		return NewRefCascadeNamed("Cascade-u", 128, false, refPaperCascadeMainU()), true
 	}

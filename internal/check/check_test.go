@@ -4,8 +4,10 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/hashing"
 	"repro/internal/history"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -111,6 +113,25 @@ func TestReferenceRegistryCoversAllFamilies(t *testing.T) {
 	}
 	if _, ok := NewReference("no-such-predictor"); ok {
 		t.Error("NewReference accepted an unknown label")
+	}
+}
+
+// TestBoundedBIUVariantEvicts keeps the PPM-hyb-biu8 rows meaningful: for
+// every seed TestDifferentialQuick replays, its 8-entry BIU must actually
+// evict on the seed's traces, so the bounded FIFO stays under test. (A raw
+// stream draws 2-9 branch addresses, so a single stream alone need not
+// overflow 8 entries.)
+func TestBoundedBIUVariantEvicts(t *testing.T) {
+	for seed := uint64(1); seed <= quickSeeds; seed++ {
+		var evictions uint64
+		for _, recs := range [][]trace.Record{RandomTrace(seed, quickEvents), RandomRecords(seed, quickEvents)} {
+			p, _ := newStatePredictor("PPM-hyb-biu8")
+			sim.New(p).ProcessAll(recs)
+			evictions += p.(*core.PPM).BIU().Evictions()
+		}
+		if evictions == 0 {
+			t.Errorf("seed %d: PPM-hyb-biu8 never evicted from its BIU", seed)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/bench"
 	"repro/internal/trace"
 )
 
@@ -27,7 +26,7 @@ type Oracle struct {
 
 // Oracles lists every lock-step oracle, in report order.
 var Oracles = []Oracle{
-	{Kind: "diff", Label: "differential", Families: Families(), diff: diffReference},
+	{Kind: "diff", Label: "differential", Families: append(Families(), ppmVariants...), diff: diffReference},
 	{Kind: "blocks", Label: "blocks-vs-records", Families: engineFamilies(), diff: diffBlocks},
 	{Kind: "state", Label: "snapshot-restore", Families: engineFamilies(), diff: diffState},
 }
@@ -91,11 +90,11 @@ func oracleFor(kind string) (Oracle, bool) {
 }
 
 // diffReference replays recs through the optimized predictor for a Figure
-// 6/7 label and its naive reference in lock-step, following the simulator
-// protocol (Predict and Update on MT indirect records, Observe on every
-// record), and describes the first prediction they disagreed on.
+// 6/7 or ppmVariants label and its naive reference in lock-step, following
+// the simulator protocol (Predict and Update on MT indirect records, Observe
+// on every record), and describes the first prediction they disagreed on.
 func diffReference(family string, recs []trace.Record) error {
-	opt, _ := bench.NewPredictor(family)
+	opt, _ := newStatePredictor(family)
 	ref, _ := NewReference(family)
 	for i, r := range recs {
 		if r.MTIndirect() {

@@ -11,7 +11,8 @@ import (
 // stack in all three modes (PPM-PIB, PPM-hyb, PPM-hyb-biased). Markov tables
 // are maps, path histories are refHistory slices whose packed/recent views
 // are recomputed from scratch, indices come from the bit-vector refSFSXS,
-// and the BIU is a plain map of explicit Figure 5 state machines.
+// and the BIU is a plain map of explicit Figure 5 state machines with a
+// slice FIFO bounding it when the configuration sets a BIU limit.
 
 // refSelState mirrors counter's Figure 5 encoding.
 const (
@@ -86,6 +87,9 @@ type RefPPM struct {
 	pb     *refHistory
 	pib    *refHistory
 	biu    map[uint64]*refBIUEntry
+	// biuOrder is the BIU's insertion order, oldest first: the FIFO
+	// eviction queue when cfg.BIULimit bounds it.
+	biuOrder []uint64
 
 	pending struct {
 		indices []uint64 // indices[j] for order j in 1..Order
@@ -134,6 +138,11 @@ func (p *RefPPM) ensureBIU(pc uint64) *refBIUEntry {
 	}
 	e := &refBIUEntry{sel: refStronglyPIB}
 	p.biu[pc] = e
+	p.biuOrder = append(p.biuOrder, pc)
+	if p.cfg.BIULimit > 0 && len(p.biuOrder) > p.cfg.BIULimit {
+		delete(p.biu, p.biuOrder[0])
+		p.biuOrder = p.biuOrder[1:]
+	}
 	return e
 }
 

@@ -24,7 +24,7 @@ import (
 // families that the block and snapshot oracles also cover. The oracle
 // predictor is excluded on purpose: it is unbounded and deliberately not a
 // Snapshotter.
-var stateExtensions = []string{"CBT", "PPM-filtered", "PPM-multi"}
+var stateExtensions = append([]string{"CBT", "PPM-filtered", "PPM-multi"}, ppmVariants...)
 
 // engineFamilies lists every predictor label the block and snapshot oracles
 // cover: the bench families plus the snapshot-capable extensions.
@@ -43,6 +43,9 @@ func newStatePredictor(family string) (predictor.IndirectPredictor, bool) {
 		return core.PaperFiltered(), true
 	case "PPM-multi":
 		return core.NewMultiTarget(10, 4), true
+	}
+	if cfg, ok := ppmVariant(family); ok {
+		return core.New(cfg), true
 	}
 	return bench.NewPredictor(family)
 }

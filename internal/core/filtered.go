@@ -158,11 +158,15 @@ func (f *FilteredPPM) ProcessBlock(b *trace.Block, c *stats.Counters) {
 			f.Update(pc, tgt)
 		}
 		if hyb && (pib || cls == trace.Return || cls == trace.JsrCoroutine) {
-			p.biu.ObserveIndirect(pcs[i], mt)
+			if e := p.biu.Ensure(pcs[i]); mt {
+				e.MT = true
+			}
 		}
 		p.pb.Push(tgt)
+		p.pbIdx.Push(tgt)
 		if pib {
 			p.pib.Push(tgt)
+			p.pibIdx.Push(tgt)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/hashing"
 	"repro/internal/predictor"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -180,17 +179,12 @@ func (m *MultiPPM) Entries() int {
 // Predict implements predictor.IndirectPredictor: highest order whose
 // state has any recorded arc answers with its majority target.
 func (m *MultiPPM) Predict(pc uint64) (uint64, bool) {
-	cfg := m.inner.Config()
-	recent := m.inner.pib.Recent(m.inner.scratch[:0], cfg.Order)
-
 	pd := &m.pending
 	pd.chosen = -1
 	pd.ok = false
 	pd.target = 0
-	// Same incremental all-orders pass as PPM.Predict: each order's SFSXS
-	// hash nests inside the next, so one sweep replaces per-order refolds.
-	hashing.SFSXSAll(pd.indices, recent, cfg.TargetBits, cfg.FoldBits, uint(cfg.Order), cfg.LowSelect)
-	for j := cfg.Order; j >= 1; j-- {
+	m.inner.pibIdx.Indices(pd.indices)
+	for j := m.inner.cfg.Order; j >= 1; j-- {
 		idx := pd.indices[j] //lint:idxsafe j descends from Order and len(indices) == Order+1 by construction
 		//lint:idxsafe j in [1, Order] and len(tables) == Order by construction
 		if tgt, ok := m.tables[j-1].lookup(idx); ok {
@@ -244,11 +238,15 @@ func (m *MultiPPM) ProcessBlock(b *trace.Block, c *stats.Counters) {
 			m.Update(pc, tgt)
 		}
 		if hyb && (pib || cls == trace.Return || cls == trace.JsrCoroutine) {
-			p.biu.ObserveIndirect(pcs[i], mt)
+			if e := p.biu.Ensure(pcs[i]); mt {
+				e.MT = true
+			}
 		}
 		p.pb.Push(tgt)
+		p.pbIdx.Push(tgt)
 		if pib {
 			p.pib.Push(tgt)
+			p.pibIdx.Push(tgt)
 		}
 	}
 }

@@ -121,17 +121,22 @@ type PPM struct {
 	zero   markovEntry    // the order-0 component: most recent MT target
 	pb     *history.PHR
 	pib    *history.PHR
+	// pbIdx and pibIdx hold the SFSXS hash of each register's path, pushed
+	// in step with pb and pib, so a prediction reads its indices instead
+	// of refolding the path.
+	pbIdx  hashing.SFSXSRegister
+	pibIdx hashing.SFSXSRegister
 	biu    *predictor.BIU
 
-	scratch []uint64
 	pending struct {
-		pc      uint64
 		indices []uint64
 		tag     uint32
 		chosen  int // order that supplied the prediction; -1 = none
 		target  uint64
 		ok      bool
-		sel     *predictor.BIUEntry
+		// sel stays valid until the next BIU insertion, and none happens
+		// between Predict and Update.
+		sel *predictor.BIUEntry
 	}
 
 	stats ComponentStats
@@ -151,14 +156,16 @@ func New(cfg Config) *PPM {
 	if cfg.Mode == HybridBiased {
 		mode = counter.PIBBiased
 	}
+	idx := hashing.NewSFSXSRegister(uint(cfg.Order), cfg.TargetBits, cfg.FoldBits, cfg.LowSelect)
 	p := &PPM{
-		cfg:     cfg,
-		tables:  tables,
-		pb:      history.New(history.AllBranches, cfg.Order, cfg.TargetBits, 0),
-		pib:     history.New(history.IndirectBranches, cfg.Order, cfg.TargetBits, 0),
-		biu:     predictor.NewBIU(mode, cfg.BIULimit),
-		scratch: make([]uint64, 0, cfg.Order),
-		stats:   newComponentStats(cfg.Order),
+		cfg:    cfg,
+		tables: tables,
+		pb:     history.New(history.AllBranches, cfg.Order, cfg.TargetBits, 0),
+		pib:    history.New(history.IndirectBranches, cfg.Order, cfg.TargetBits, 0),
+		pbIdx:  idx,
+		pibIdx: idx,
+		biu:    predictor.NewBIU(mode, cfg.BIULimit),
+		stats:  newComponentStats(cfg.Order),
 	}
 	p.pending.indices = make([]uint64, cfg.Order+1)
 	return p
@@ -201,39 +208,33 @@ func (p *PPM) Order() int { return p.cfg.Order }
 // BIU exposes the branch identification unit (e.g. for eviction stats).
 func (p *PPM) BIU() *predictor.BIU { return p.biu }
 
-// selectHistory returns the PHR the branch at pc should use, consulting the
-// BIU selection counter in the hybrid modes.
-func (p *PPM) selectHistory(pc uint64) (*history.PHR, *predictor.BIUEntry) {
+// selectHistory returns the SFSXS register of the PHR the branch at pc
+// should use, consulting the BIU selection counter in the hybrid modes.
+func (p *PPM) selectHistory(pc uint64) (*hashing.SFSXSRegister, *predictor.BIUEntry) {
 	if p.cfg.Mode == PIBOnly {
-		return p.pib, nil
+		return &p.pibIdx, nil
 	}
 	e := p.biu.Ensure(pc)
 	if e.Sel.Selected() == counter.PB {
-		return p.pb, e
+		return &p.pbIdx, e
 	}
-	return p.pib, e
+	return &p.pibIdx, e
 }
 
 // Predict implements predictor.IndirectPredictor: all Markov components are
 // accessed in parallel with their per-order SFSXS indices and the valid
 // entry of the highest order supplies the target (Figure 3's buffer chain).
 func (p *PPM) Predict(pc uint64) (uint64, bool) {
-	phr, sel := p.selectHistory(pc)
-	recent := phr.Recent(p.scratch[:0], p.cfg.Order)
+	reg, sel := p.selectHistory(pc)
 	tag := uint32(hashing.Mix64(pc>>2) >> 48)
 
 	pd := &p.pending
-	pd.pc = pc
 	pd.tag = tag
 	pd.sel = sel
 	pd.chosen = -1
 	pd.ok = false
 	pd.target = 0
-
-	// One incremental pass derives every order's SFSXS index (each order's
-	// hash nests inside the next), replacing the per-order refolds that
-	// dominated the simulation profile.
-	hashing.SFSXSAll(pd.indices, recent, p.cfg.TargetBits, p.cfg.FoldBits, uint(p.cfg.Order), p.cfg.LowSelect)
+	reg.Indices(pd.indices)
 
 	for j := p.cfg.Order; j >= 1; j-- {
 		idx := pd.indices[j] //lint:idxsafe j descends from Order and len(indices) == Order+1 by construction
@@ -314,13 +315,18 @@ func trainZero(e *markovEntry, target uint64) {
 
 // Observe implements predictor.IndirectPredictor: the actual target of
 // every committed branch is shifted into the PB register, indirect jmp/jsr
-// targets also into the PIB register, and the BIU learns annotation bits.
+// targets also into the PIB register — each PHR together with its SFSXS
+// register — and the BIU learns annotation bits.
 func (p *PPM) Observe(r trace.Record) {
 	if p.cfg.Mode != PIBOnly {
 		p.biu.Observe(r)
 	}
-	p.pb.Observe(r)
-	p.pib.Observe(r)
+	if p.pb.Observe(r) {
+		p.pbIdx.Push(r.Target)
+	}
+	if p.pib.Observe(r) {
+		p.pibIdx.Push(r.Target)
+	}
 }
 
 // ProcessBlock implements the engine's batch fast path: one pass over the
@@ -331,6 +337,9 @@ func (p *PPM) Observe(r trace.Record) {
 // PB register accepts every branch; the PIB register exactly the indirect
 // jmp/jsr records). BIU touches stay interleaved in record order, so a
 // bounded BIU's FIFO eviction sequence is identical to the record loop's.
+// FilteredPPM and MultiPPM repeat this loop around their own Predict and
+// Update: one shared loop, or one shared observe step, costs the grid
+// about 1-2% more instructions than the copies.
 //
 //ppm:hotpath whole-block PPM replay
 func (p *PPM) ProcessBlock(b *trace.Block, c *stats.Counters) {
@@ -350,11 +359,15 @@ func (p *PPM) ProcessBlock(b *trace.Block, c *stats.Counters) {
 			p.Update(pc, tgt)
 		}
 		if hyb && (pib || cls == trace.Return || cls == trace.JsrCoroutine) {
-			p.biu.ObserveIndirect(pcs[i], mt)
+			if e := p.biu.Ensure(pcs[i]); mt {
+				e.MT = true
+			}
 		}
 		p.pb.Push(tgt)
+		p.pbIdx.Push(tgt)
 		if pib {
 			p.pib.Push(tgt)
+			p.pibIdx.Push(tgt)
 		}
 	}
 }
@@ -373,6 +386,8 @@ func (p *PPM) Reset() {
 	p.zero = markovEntry{}
 	p.pb.Reset()
 	p.pib.Reset()
+	p.pbIdx.Reset()
+	p.pibIdx.Reset()
 	p.biu.Reset()
 	p.stats = newComponentStats(p.cfg.Order)
 }

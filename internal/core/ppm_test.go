@@ -4,7 +4,11 @@ import (
 	"testing"
 
 	"repro/internal/counter"
+	"repro/internal/hashing"
+	"repro/internal/history"
+	"repro/internal/state"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func mtJmp(pc, target uint64) trace.Record {
@@ -362,5 +366,76 @@ func TestDeterminism(t *testing.T) {
 		rec := mtJmp(pc, tgt)
 		a.Observe(rec)
 		b.Observe(rec)
+	}
+}
+
+// TestSFSXSRegistersRebuiltOnRestore pins the registers Restore rebuilds
+// from the restored path histories (snapshots do not carry them): after a
+// restore at a warm-up cut and at a long-run cut, each register's indices
+// must equal the live predictor's and the per-order spec over its PHR's
+// targets. (The raw words may differ: a live high-select register keeps
+// low-order residue of targets older than the order, which no index
+// reads.)
+func TestSFSXSRegistersRebuiltOnRestore(t *testing.T) {
+	cfgs := []Config{DefaultConfig(Hybrid), DefaultConfig(PIBOnly)}
+	low := DefaultConfig(HybridBiased)
+	low.LowSelect = true
+	short := DefaultConfig(Hybrid)
+	short.Order, short.FoldBits = 3, 1
+	long := DefaultConfig(Hybrid)
+	long.Order, long.FoldBits = 20, 10
+	cfgs = append(cfgs, low, short, long)
+
+	rng := workload.NewRNG(42)
+	classes := []trace.Class{trace.CondDirect, trace.DirectCall, trace.IndirectJmp, trace.IndirectJsr, trace.Return}
+	for _, cfg := range cfgs {
+		for _, cut := range []int{3, 700} {
+			p := New(cfg)
+			for i := 0; i < cut; i++ {
+				r := trace.Record{
+					PC:     0x1000 + uint64(rng.Intn(16))*4,
+					Target: rng.Uint64(),
+					Class:  classes[rng.Intn(len(classes))],
+					Taken:  true,
+					MT:     rng.Bool(0.5),
+				}
+				if r.MTIndirect() {
+					p.Predict(r.PC)
+					p.Update(r.PC, r.Target)
+				}
+				p.Observe(r)
+			}
+			restored := New(cfg)
+			if err := state.LoadBytes(restored, state.SaveBytes(p)); err != nil {
+				t.Fatalf("%+v cut %d: restore: %v", cfg, cut, err)
+			}
+			for _, h := range []struct {
+				name      string
+				live, got *hashing.SFSXSRegister
+				phr       *history.PHR
+			}{
+				{"PB", &p.pbIdx, &restored.pbIdx, restored.pb},
+				{"PIB", &p.pibIdx, &restored.pibIdx, restored.pib},
+			} {
+				path := make([]uint64, h.phr.Len())
+				for i := range path {
+					path[i] = h.phr.Peek(i)
+				}
+				idx := make([]uint64, cfg.Order+1)
+				liveIdx := make([]uint64, cfg.Order+1)
+				h.got.Indices(idx)
+				h.live.Indices(liveIdx)
+				for o := 1; o <= cfg.Order; o++ {
+					want := hashing.SFSXS(path, cfg.TargetBits, cfg.FoldBits, uint(o))
+					if cfg.LowSelect {
+						want = hashing.SFSXSLow(path, cfg.TargetBits, cfg.FoldBits, uint(o))
+					}
+					if idx[o] != want || liveIdx[o] != want {
+						t.Fatalf("%+v cut %d: %s index[%d] restored %#x live %#x, spec %#x",
+							cfg, cut, h.name, o, idx[o], liveIdx[o], want)
+					}
+				}
+			}
+		}
 	}
 }

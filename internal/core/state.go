@@ -2,6 +2,8 @@ package core
 
 import (
 	"repro/internal/counter"
+	"repro/internal/hashing"
+	"repro/internal/history"
 	"repro/internal/state"
 )
 
@@ -153,7 +155,19 @@ func (p *PPM) Restore(r *state.Reader) error {
 	if err := p.pib.LoadState(r); err != nil {
 		return err
 	}
+	rebuildIndex(&p.pbIdx, p.pb)
+	rebuildIndex(&p.pibIdx, p.pib)
 	return p.biu.LoadState(r)
+}
+
+// rebuildIndex re-derives an SFSXS register from its restored PHR by
+// pushing the recorded targets oldest first; snapshots do not carry the
+// register, so it is rebuilt rather than trusted.
+func rebuildIndex(reg *hashing.SFSXSRegister, phr *history.PHR) {
+	reg.Reset()
+	for i := phr.Len() - 1; i >= 0; i-- {
+		reg.Push(phr.Peek(i))
+	}
 }
 
 // Snapshot implements state.Snapshotter: the filter section then the

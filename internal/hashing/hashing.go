@@ -4,11 +4,13 @@
 //   - gshare XOR indexing (Chang et al., Driesen & Hölzle)
 //   - Select-Fold-Shift-XOR (SFSX) from Sazeides & Smith
 //   - Select-Fold-Shift-XOR-Select (SFSXS), the paper's Figure 2 mapping
-//     function for the PPM Markov predictor stack
+//     function for the PPM Markov predictor stack, and SFSXSRegister, its
+//     incremental shift-register form
 //   - reverse-interleaving indexing used by the Dual-path predictor
 //
 // All functions are pure and allocation-free so they can run in the inner
-// simulation loop.
+// simulation loop; the registers (SFSXSRegister, Folded) are
+// allocation-free value types updated in place.
 package hashing
 
 import "math/bits"
@@ -111,46 +113,91 @@ func SFSXS(targets []uint64, selBits, foldBits, order uint) uint64 {
 	return (h >> (width - order)) & Mask(order)
 }
 
-// SFSXSAll computes SFSXS (or SFSXSLow when low is set) for every order in
-// [1, maxOrder] in one incremental pass, writing the order-j index to
-// dst[j]; dst must be at least maxOrder+1 long and dst[0] is left as is.
+// SFSXSRegister is the incremental form of SFSXS and SFSXSLow: the Figure 2
+// shift-XOR kept as a register that folds each target once, as it enters
+// the path history, instead of refolding the whole path per lookup. Its
+// indices always equal the per-order spec functions over the targets pushed
+// so far, most recent first — the pair is pinned equal by
+// TestSFSXSRegisterMatchesSpec and the ppmcheck differential.
 //
-// The per-order hashes nest: with g_i the folded contribution of the i-th
-// most recent target, the high-select hash for order o is
-// h_o = (h_{o-1} << 1) ^ g_{o-1}, and with foldBits >= 1 the final select
-// always shifts by the constant foldBits-1 — so one fold per available
-// target and one shift-XOR per order replace the O(order^2) refolds of
-// calling SFSXS per order. foldBits must be >= 1 (every PPM configuration
-// validates this); equivalence with per-order SFSXS/SFSXSLow calls is
-// pinned by TestSFSXSAllMatchesPerOrder and the ppmcheck differential.
+// With g the folded contribution Fold(t>>2, selBits, foldBits) of an
+// entering target, the two select orientations advance as:
+//
+//   - high select: h = (h >> 1) ^ (g << (order-1)), and the order-o index is
+//     (h >> (order-o+foldBits-1)) & Mask(o). The target i pushes back sits
+//     at g << (order-1-i). For i < o the final shift turns that into
+//     SFSXS's g << (o-1-i) >> (foldBits-1) exactly. Every older term
+//     (i >= o, including those already shifted past bit 0) lies below
+//     2^(order-o+foldBits-1), so the final shift drops it.
+//   - low select: h = (h << 1) ^ g, and the order-o index is h & Mask(o):
+//     the target i pushes back sits at bit i, so the mask caps the path
+//     at o targets exactly as SFSXSLow does.
+//
+// A cleared register holds the hash of an all-zero path, and zero targets
+// fold to zero, so during warm-up it matches SFSXS over the fewer than
+// order targets pushed so far — a hardware PHR that powers up zeroed.
+type SFSXSRegister struct {
+	h     uint64
+	sel   uint64 // Mask(selBits)
+	fmask uint64 // Mask(foldBits)
+	fold  uint   // foldBits
+	// One push is h = h>>rs<<ls ^ g<<top, and the order-o index is
+	// (h >> (sh0 - (o-1)*step)) & Mask(o): rs=1, ls=0, top=order-1,
+	// sh0=order-1+foldBits-1, step=1 for the high select; rs=0, ls=1,
+	// top=0, sh0=0, step=0 for the low select.
+	rs, ls, top uint
+	sh0, step   uint
+}
+
+// NewSFSXSRegister returns a cleared register for indices of orders
+// [1, order] over selBits-bit targets folded to foldBits bits. Panics unless
+// 1 <= order <= 32 and 1 <= foldBits <= selBits <= 32, the range in which
+// every term fits the 64-bit register.
+func NewSFSXSRegister(order, selBits, foldBits uint, low bool) SFSXSRegister {
+	if order < 1 || order > 32 {
+		panic("hashing: SFSXS register order must be in [1, 32]")
+	}
+	if foldBits < 1 || foldBits > selBits || selBits > 32 {
+		panic("hashing: SFSXS register needs 1 <= foldBits <= selBits <= 32")
+	}
+	r := SFSXSRegister{sel: Mask(selBits), fmask: Mask(foldBits), fold: foldBits}
+	if low {
+		r.ls = 1
+	} else {
+		r.rs, r.top, r.sh0, r.step = 1, order-1, order+foldBits-2, 1
+	}
+	return r
+}
+
+// Push shifts one target into the register: the target's selBits
+// low-order word-address bits are XOR-folded to foldBits bits (Fold, once
+// per target entering the path history) and shifted in.
+//
+//ppm:hotpath per-record history-register shift
+func (r *SFSXSRegister) Push(target uint64) {
+	var g uint64
+	for v := target >> 2 & r.sel; v != 0; v >>= r.fold {
+		g ^= v & r.fmask
+	}
+	r.h = r.h>>r.rs<<r.ls ^ g<<r.top
+}
+
+// Indices writes the order-o index to dst[o] for every o in
+// [1, len(dst)-1]; dst[0] is left as is. len(dst)-1 must not exceed the
+// register's order.
 //
 //ppm:hotpath per-lookup index-hash helper; runs once per table probe
-func SFSXSAll(dst, targets []uint64, selBits, foldBits, maxOrder uint, low bool) {
-	n := uint(len(targets))
-	if n > maxOrder {
-		n = maxOrder
-	}
-	var h uint64
-	if low {
-		// Low-select: fold i sits at bit positions [i, i+foldBits); entries
-		// at i >= o only occupy bits >= o, so masking the running hash to o
-		// bits is exactly the per-order cap on path length.
-		for i := uint(0); i < n; i++ {
-			h ^= Fold(targets[i]>>2, selBits, foldBits) << i //lint:idxsafe i < n <= len(targets)
-		}
-		for o := uint(1); o <= maxOrder; o++ {
-			dst[o] = h & Mask(o) //lint:idxsafe caller contract: len(dst) >= maxOrder+1 and o <= maxOrder
-		}
-		return
-	}
-	for o := uint(1); o <= maxOrder; o++ {
-		h <<= 1
-		if o-1 < n {
-			h ^= Fold(targets[o-1]>>2, selBits, foldBits) //lint:idxsafe o-1 < n <= len(targets)
-		}
-		dst[o] = (h >> (foldBits - 1)) & Mask(o) //lint:idxsafe caller contract: len(dst) >= maxOrder+1 and o <= maxOrder
+func (r *SFSXSRegister) Indices(dst []uint64) {
+	h, sh, mask := r.h, r.sh0, uint64(1)
+	for o := 1; o < len(dst); o++ {
+		dst[o] = h >> sh & mask
+		sh -= r.step
+		mask = mask<<1 | 1
 	}
 }
+
+// Reset clears the register to the all-zero-path state.
+func (r *SFSXSRegister) Reset() { r.h = 0 }
 
 // SFSXSLow is the alternative mapping mentioned in Section 4 of the paper:
 // the mirror orientation that shifts the most recent target into the

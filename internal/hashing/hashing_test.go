@@ -254,35 +254,43 @@ func TestMix64Bijective(t *testing.T) {
 	}
 }
 
-// TestSFSXSAllMatchesPerOrder pins the incremental all-orders pass to the
-// per-order reference calls, across both select orientations, warm-up path
-// lengths shorter than the order, and a spread of fold widths.
-func TestSFSXSAllMatchesPerOrder(t *testing.T) {
+// TestSFSXSRegisterMatchesSpec pins the incremental register to the
+// per-order spec functions: after every push, each order's index must equal
+// SFSXS (or SFSXSLow) over the most recent targets, most recent first —
+// through warm-up (fewer pushes than the order) and runs far longer than
+// the order, for every order the PPM accepts, both select orientations and
+// the edge fold widths.
+func TestSFSXSRegisterMatchesSpec(t *testing.T) {
 	rng := uint64(0x9e3779b97f4a7c15)
 	next := func() uint64 { rng = Mix64(rng); return rng }
-	for _, maxOrder := range []uint{1, 3, 10, 20} {
-		for _, selBits := range []uint{4, 10, 16} {
-			for _, foldBits := range []uint{1, 5, uint(selBits)} {
-				if foldBits > selBits {
-					continue
-				}
-				for pathLen := 0; pathLen <= int(maxOrder)+2; pathLen++ {
-					targets := make([]uint64, pathLen)
-					for i := range targets {
-						targets[i] = next()
-					}
-					dst := make([]uint64, maxOrder+1)
-					for _, low := range []bool{false, true} {
-						SFSXSAll(dst, targets, selBits, foldBits, maxOrder, low)
-						for o := uint(1); o <= maxOrder; o++ {
-							want := SFSXS(targets, selBits, foldBits, o)
+	for order := uint(1); order <= 20; order++ {
+		for _, selBits := range []uint{10, 32} {
+			for _, foldBits := range []uint{1, 5, selBits} {
+				for _, low := range []bool{false, true} {
+					reg := NewSFSXSRegister(order, selBits, foldBits, low)
+					dst := make([]uint64, order+1)
+					var path []uint64 // most recent first
+					for push := 0; push < 3*int(order)+40; push++ {
+						tgt := next()
+						reg.Push(tgt)
+						path = append([]uint64{tgt}, path...)
+						reg.Indices(dst)
+						for o := uint(1); o <= order; o++ {
+							want := SFSXS(path, selBits, foldBits, o)
 							if low {
-								want = SFSXSLow(targets, selBits, foldBits, o)
+								want = SFSXSLow(path, selBits, foldBits, o)
 							}
 							if dst[o] != want {
-								t.Fatalf("SFSXSAll(sel=%d fold=%d max=%d len=%d low=%t)[%d] = %#x, per-order %#x",
-									selBits, foldBits, maxOrder, pathLen, low, o, dst[o], want)
+								t.Fatalf("order %d sel %d fold %d low %t, push %d: index[%d] = %#x, spec %#x",
+									order, selBits, foldBits, low, push, o, dst[o], want)
 							}
+						}
+					}
+					reg.Reset()
+					reg.Indices(dst)
+					for o := uint(1); o <= order; o++ {
+						if dst[o] != 0 {
+							t.Fatalf("order %d: index[%d] = %#x after Reset, want the empty-path 0", order, o, dst[o])
 						}
 					}
 				}

@@ -2,8 +2,10 @@
 // that record the recent targets of a selected stream of branches. Two views
 // are provided, matching the two families of predictors in the paper:
 //
-//   - Recent() exposes the most recent full targets, which the PPM
-//     predictor's SFSXS mapping selects and folds per target (Figure 2);
+//   - Recent() and Peek() expose the most recent full targets: the path
+//     the oracle and the workload generator read, and the one the PPM
+//     predictor rebuilds its incremental SFSXS registers (Figure 2) from
+//     after a snapshot restore;
 //   - Packed() exposes the conventional k-bits-per-target shift register
 //     used by GAp, Target Cache and Dual-path gshare/interleaved indexing.
 package history

@@ -7,16 +7,18 @@ import (
 
 // SaveState appends the BIU contents as a snapshot section. Entries are
 // written in insertion order — the semantic order of the FIFO eviction
-// queue — never map order, so repeated snapshots of the same state are
-// byte-identical.
+// queue — never table order, so the bytes depend only on the BIU's
+// logical state.
 func (b *BIU) SaveState(w *state.Writer) {
 	w.Begin(state.SecBIU)
 	w.U8(uint8(b.mode))
 	w.U64(uint64(b.limit))
 	w.U64(b.evictions)
-	w.U64(uint64(len(b.order)))
-	for _, pc := range b.order {
-		e := b.entries[pc]
+	order := b.order
+	w.U64(uint64(len(order)))
+	for i := range order {
+		pc := order[(uint(b.head)+uint(i))%uint(len(order))]
+		e := b.Lookup(pc)
 		w.U64(pc)
 		w.Bool(e.MT)
 		w.U8(e.Sel.State())
@@ -24,10 +26,11 @@ func (b *BIU) SaveState(w *state.Writer) {
 	w.End()
 }
 
-// LoadState rebuilds the BIU in place from a SaveState section. Entries
-// already present for a snapshot pc are overwritten where they sit; stale
-// survivors of the previous state are deleted by generation mark, so a
-// steady-state restore into a same-population BIU does not allocate.
+// LoadState rebuilds the BIU in place from a SaveState section: it clears
+// the table and re-inserts every entry in snapshot order, reusing the
+// table and queue storage, so a steady-state restore into a
+// same-population BIU does not allocate. Storage grows entry by entry as
+// the section is read, never from the snapshot's claimed count.
 func (b *BIU) LoadState(r *state.Reader) error {
 	if err := r.Begin(state.SecBIU); err != nil {
 		return err
@@ -45,8 +48,7 @@ func (b *BIU) LoadState(r *state.Reader) error {
 	if b.limit > 0 && n > uint64(b.limit) {
 		return state.Corruptf("BIU carries %d entries over limit %d", n, b.limit)
 	}
-	b.gen++
-	b.order = b.order[:0]
+	b.Reset()
 	for i := uint64(0); i < n; i++ {
 		pc := r.U64()
 		mt := r.Bool()
@@ -58,27 +60,14 @@ func (b *BIU) LoadState(r *state.Reader) error {
 		if !ok {
 			return state.Corruptf("BIU selection state %d out of range", raw)
 		}
-		e, exists := b.entries[pc]
-		if exists {
-			if e.gen == b.gen {
-				return state.Corruptf("BIU pc %#x duplicated in snapshot", pc)
-			}
-		} else {
-			e = &BIUEntry{} //lint:coldpath — only when the live population differs from the snapshot's
-			b.entries[pc] = e
+		if b.find(pc).used {
+			return state.Corruptf("BIU pc %#x duplicated in snapshot", pc)
 		}
-		e.MT = mt
-		e.Sel = sel
-		e.gen = b.gen
+		*b.insert(pc) = BIUEntry{MT: mt, Sel: sel}
 		b.order = append(b.order, pc)
 	}
 	if err := r.End(); err != nil {
 		return err
-	}
-	for pc, e := range b.entries {
-		if e.gen != b.gen {
-			delete(b.entries, pc)
-		}
 	}
 	b.evictions = evictions
 	return nil
