@@ -91,13 +91,16 @@ parallel-smoke:
 
 # The block engine's correctness gate: the paper and extension grids must
 # render the checked-in experiments_output.txt and experiments_ext_output.txt
-# byte for byte, the engine and the block decode loop must stay
-# allocation-free in steady state, and a short full-grid -j 4 run must hold
-# up under the race detector.
+# byte for byte, the engine, the block decode loop and the live-session
+# predict core (decode, engine with the outcome lane, pred-line encoding)
+# must stay allocation-free in steady state, the pred-line encoder must
+# match encoding/json byte for byte, and a short full-grid -j 4 run must
+# hold up under the race detector.
 block-smoke:
 	$(GO) test -run 'TestGoldenOutputs' ./cmd/experiments
 	$(GO) test -run 'TestBlockEngineZeroAllocSteadyState' ./internal/bench
 	$(GO) test -run 'TestReadBlockZeroAllocSteadyState|TestBuilderPathsAgree' ./internal/trace
+	$(GO) test -run 'TestPredictCoreZeroAllocSteadyState|TestAppendPredLineMatchesJSON' ./internal/serve
 	$(GO) run -race ./cmd/experiments -all -events 2000 -j 4 -cachestats > /dev/null
 
 # End-to-end gate for the serving subsystem: boots a real ppmserved on an
@@ -123,7 +126,8 @@ lint: fmt vet ppmlint
 # engine vs record engine, snapshot/restore vs uncut run),
 # the metamorphic identities (cache on/off, worker counts, served vs serial,
 # split vs concat sessions, upload vs batch), and byte-offset fault sweeps
-# over the trace decoder and the upload endpoint.
+# over the trace decoder, the upload endpoint and the session predict
+# endpoint.
 check-quick:
 	$(GO) run ./cmd/ppmcheck -quick
 

@@ -5,7 +5,7 @@
 // traces; it replays the checked-in regression corpus, runs the metamorphic
 // properties (caching, worker count, serving and session granularity must
 // never change a result byte), and sweeps fault injection across the trace
-// decoder and the upload path.
+// decoder, the upload path and the live-session predict stream.
 //
 //	ppmcheck -quick              the bounded CI pass (corpus + small sweeps)
 //	ppmcheck -seeds 500          a long hunt
@@ -84,6 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ok = c.report("truncation sweep", check.TruncationSweep(check.RandomRecords(9, 60), nil)) && ok
 	ok = c.report("errafter sweep", check.ErrAfterSweep(check.RandomRecords(9, 60))) && ok
 	ok = c.uploadSweep() && ok
+	ok = c.predictSweep() && ok
 	if !ok {
 		return 1
 	}
@@ -176,5 +177,16 @@ func (c console) uploadSweep() bool {
 		return false
 	}
 	fmt.Fprintf(c.stdout, "ok   upload sweep (%d clean prefixes, %d rejected cuts, 0 leaked jobs)\n", report.Accepted, report.Rejected)
+	return true
+}
+
+// predictSweep runs the live-session predict truncation sweep.
+func (c console) predictSweep() bool {
+	report, err := check.SessionPredictTruncationSweep(check.RandomRecords(9, 40), "PPM-hyb")
+	if err != nil {
+		fmt.Fprintf(c.stderr, "FAIL predict sweep: %v\n", err)
+		return false
+	}
+	fmt.Fprintf(c.stdout, "ok   predict sweep (%d clean prefixes, %d cut or rejected streams, 0 leaked goroutines)\n", report.Accepted, report.Rejected)
 	return true
 }

@@ -56,7 +56,7 @@ func main() {
 					c = &stats.Counters{Predictor: names[i]}
 					m[names[i]] = c
 				}
-				c.Record(ok && t == r.Target, ok)
+				c.Resolve(t, ok, r.Target)
 				p.Update(r.PC, r.Target)
 			}
 		}

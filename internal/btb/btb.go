@@ -108,7 +108,7 @@ func (b *BTB) ProcessBlock(blk *trace.Block, c *stats.Counters) {
 		pc := pcs[k]   //lint:idxsafe MTIdx entries index the block's lanes by construction
 		tgt := tgts[k] //lint:idxsafe MTIdx entries index the block's lanes by construction
 		target, ok := b.Predict(pc)
-		c.Record(ok && target == tgt, ok)
+		c.Resolve(target, ok, tgt)
 		b.Update(pc, tgt)
 	}
 }

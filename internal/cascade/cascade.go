@@ -190,7 +190,7 @@ func (c *Cascade) ProcessBlock(b *trace.Block, ctr *stats.Counters) {
 			r := b.Record(i)
 			if r.MTIndirect() {
 				target, ok := c.Predict(r.PC)
-				ctr.Record(ok && target == r.Target, ok)
+				ctr.Resolve(target, ok, r.Target)
 				c.Update(r.PC, r.Target)
 			}
 			c.Observe(r)
@@ -202,7 +202,7 @@ func (c *Cascade) ProcessBlock(b *trace.Block, ctr *stats.Counters) {
 		pc := pcs[k]   //lint:idxsafe MTIdx entries index the block's lanes by construction
 		tgt := tgts[k] //lint:idxsafe MTIdx entries index the block's lanes by construction
 		target, ok := c.Predict(pc)
-		ctr.Record(ok && target == tgt, ok)
+		ctr.Resolve(target, ok, tgt)
 		c.Update(pc, tgt)
 		c.main.PushMT(tgt)
 	}

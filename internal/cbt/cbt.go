@@ -165,7 +165,7 @@ func (c *CBT) ProcessBlock(b *trace.Block, ctr *stats.Counters) {
 		}
 		pc, tgt := pcs[k], tgts[k] //lint:idxsafe MTIdx entries index the block's lanes by construction
 		target, ok := c.Predict(pc)
-		ctr.Record(ok && target == tgt, ok)
+		ctr.Resolve(target, ok, tgt)
 		c.Update(pc, tgt)
 	}
 }

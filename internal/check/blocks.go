@@ -16,9 +16,9 @@ import (
 // the same standard as every other wrapper: the columnar form, the index
 // lanes, the per-predictor batch fast paths and the whole-block-per-
 // predictor reordering may change wall-clock time only, never a single
-// counter. Every comparison below replays identical inputs through
-// sim.Engine.ProcessAll and sim.Engine.ProcessBlocks and requires the
-// outcomes to agree exactly.
+// counter or a single streamed prediction. Every comparison below replays
+// identical inputs through the record engine and the block engine and
+// requires the outcomes to agree exactly.
 
 // blockDiffCaps are the block capacities the differential replays exercise:
 // the shipped capacity, plus a deliberately tiny odd one so short (and
@@ -53,17 +53,45 @@ func enginesMatch(rec, blk *sim.Engine) error {
 }
 
 // BlockEngineIdentity replays recs through a predictor set built by build,
-// once record-at-a-time and once through the block engine at every
-// blockDiffCaps capacity, and returns the first disagreement.
+// once record-at-a-time through ProcessPredicted and once through the block
+// engine's ProcessBlockPredicted at every blockDiffCaps capacity, and
+// returns the first disagreement: in the engines' observables, or in the
+// first predictor's per-dispatch outcomes, which the block side reports
+// through the outcome lane and the record side builds itself.
 func BlockEngineIdentity(recs []trace.Record, build func() []predictor.IndirectPredictor) error {
 	rec := sim.New(build()...)
-	rec.ProcessAll(recs)
+	var want []sim.Prediction
+	for _, r := range recs {
+		if p, dispatched := rec.ProcessPredicted(r); dispatched {
+			want = append(want, p)
+		}
+	}
 	for _, bcap := range blockDiffCaps {
 		blk := sim.New(build()...)
-		blk.ProcessBlocks(trace.BlocksSized(recs, bcap))
+		var got []sim.Prediction
+		for _, b := range trace.BlocksSized(recs, bcap) {
+			got = blk.ProcessBlockPredicted(&b, got)
+		}
 		if err := enginesMatch(rec, blk); err != nil {
 			return fmt.Errorf("block engine (cap %d): %w", bcap, err)
 		}
+		if err := lanesMatch(want, got); err != nil {
+			return fmt.Errorf("block engine (cap %d): %w", bcap, err)
+		}
+	}
+	return nil
+}
+
+// lanesMatch compares the record engine's per-dispatch outcomes with the
+// block engine's outcome lane.
+func lanesMatch(rec, blk []sim.Prediction) error {
+	for i := range min(len(rec), len(blk)) {
+		if rec[i] != blk[i] {
+			return fmt.Errorf("dispatch %d: record outcome %+v vs lane %+v", i, rec[i], blk[i])
+		}
+	}
+	if len(rec) != len(blk) {
+		return fmt.Errorf("record engine reported %d outcomes, lane %d", len(rec), len(blk))
 	}
 	return nil
 }
@@ -101,17 +129,19 @@ func BlocksVsRecords(suite []workload.Config, build func() []predictor.IndirectP
 
 // ExtensionPredictors builds the predictor set of the extension experiments
 // that carry their own batch fast paths but sit outside the bench families:
-// the snapshot extensions (the value-keyed CBT, the leaky-filtered PPM, the
-// multi-target Markov stack and the ppmVariants PPM-hyb configurations),
-// plus the unbounded oracle that exercises the engine's record-at-a-time
-// fallback inside a block. BlockEngineIdentity
-// over this set pins them, mixed in one block, to the record engine at
-// every block capacity.
+// the unbounded oracle that exercises the engine's record-at-a-time
+// fallback inside a block, then the snapshot extensions (the value-keyed
+// CBT, the leaky-filtered PPM, the multi-target Markov stack and the
+// ppmVariants PPM-hyb configurations). BlockEngineIdentity over this set
+// pins them, mixed in one block, to the record engine at every block
+// capacity; with the oracle first, its outcome-lane comparison covers the
+// fallback's lane.
 func ExtensionPredictors() []predictor.IndirectPredictor {
-	ps := make([]predictor.IndirectPredictor, 0, len(stateExtensions)+1)
+	ps := make([]predictor.IndirectPredictor, 1, len(stateExtensions)+1)
+	ps[0] = oracle.New(8)
 	for _, fam := range stateExtensions {
 		p, _ := newStatePredictor(fam)
 		ps = append(ps, p)
 	}
-	return append(ps, oracle.New(8))
+	return ps
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/check/leakcheck"
 	"repro/internal/serve"
 	"repro/internal/sim"
+	"repro/internal/state"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -241,8 +242,148 @@ func UploadTruncationSweep(recs []trace.Record, predictorName string) (*ServeSwe
 	return report, nil
 }
 
-// ServeSweepReport summarizes an upload sweep: how many cuts were served as
-// clean prefixes, how many were shed as client errors, and the server's
+// SessionPredictTruncationSweep posts every prefix of recs' encoding to a
+// fresh live session's predict endpoint and asserts the online learner's
+// contract at each cut: a header cut is a 400 that leaves the session
+// untouched; otherwise the pred lines equal, byte for byte, encoding/json's
+// encoding of ProcessPredicted over the records wholly inside the cut, the
+// stream ends in "done" at a record boundary and in a truncation "error"
+// line exactly when the cut falls mid-record, and the session's GET state
+// equals state.SaveBytes of a local engine fed those records. After the
+// sweep and a shutdown, no goroutine the server spawned may survive.
+func SessionPredictTruncationSweep(recs []trace.Record, predictorName string) (*ServeSweepReport, error) {
+	enc, offsets, err := EncodeBoundaries(recs)
+	if err != nil {
+		return nil, err
+	}
+	pred, ok := bench.NewPredictor(predictorName)
+	if !ok {
+		return nil, fmt.Errorf("predict sweep: unknown predictor %q", predictorName)
+	}
+	// One incremental local run: the pred lines of every prefix are a
+	// prefix of one stream (predEnd[k] bytes long after k records), and
+	// snaps[k] is the engine's snapshot after k records.
+	e := sim.New(pred)
+	var lines bytes.Buffer
+	jenc := json.NewEncoder(&lines)
+	predEnd := make([]int, 1, len(recs)+1)
+	snaps := [][]byte{state.SaveBytes(e)}
+	for _, r := range recs {
+		if p, dispatched := e.ProcessPredicted(r); dispatched {
+			ev := serve.PredictEvent{
+				Type: "pred", Seq: e.Counters()[0].Lookups,
+				PC: r.PC, Actual: r.Target, Predicted: p.Predicted, Correct: p.Correct,
+			}
+			if p.Predicted {
+				ev.Target = p.Target
+			}
+			if err := jenc.Encode(ev); err != nil {
+				return nil, err
+			}
+		}
+		predEnd = append(predEnd, lines.Len())
+		snaps = append(snaps, bytes.Clone(state.SaveBytes(e)))
+	}
+
+	before := leakcheck.Take()
+	_, ts, shutdown := startServer()
+	defer shutdown()
+	report := &ServeSweepReport{}
+	for cut := int64(0); cut <= int64(len(enc)); cut++ {
+		k, clean := boundaryIndex(offsets, cut)
+		if err := predictCut(ts.URL, predictorName, enc[:cut], cut < offsets[0], clean, lines.Bytes()[:predEnd[k]], snaps[k]); err != nil {
+			return nil, fmt.Errorf("predict sweep: cut %d (%d whole records): %w", cut, k, err)
+		}
+		if clean && cut >= offsets[0] {
+			report.Accepted++
+		} else {
+			report.Rejected++
+		}
+	}
+	shutdown()
+	http.DefaultClient.CloseIdleConnections()
+	if leaked := before.Leaked(); len(leaked) > 0 {
+		return nil, fmt.Errorf("predict sweep: %d goroutine(s) leaked past shutdown:\n%s",
+			len(leaked), strings.Join(leaked, "\n"))
+	}
+	return report, nil
+}
+
+// predictCut runs one cut of the predict sweep against a fresh session:
+// body is the cut stream, header whether the cut falls inside the header,
+// clean whether it falls on a record boundary, want the expected pred lines
+// and snap the expected snapshot afterwards. The session is closed after.
+func predictCut(base, predictorName string, body []byte, header, clean bool, want, snap []byte) error {
+	spec, _ := json.Marshal(serve.SessionSpec{Predictor: predictorName})
+	resp, err := http.Post(base+"/v1/sessions", "application/json", bytes.NewReader(spec))
+	if err != nil {
+		return err
+	}
+	var st serve.SessionStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusCreated {
+		return fmt.Errorf("create session: status %d: %v", resp.StatusCode, err)
+	}
+	sessURL := base + "/v1/sessions/" + st.ID
+	defer func() {
+		if req, err := http.NewRequest(http.MethodDelete, sessURL, nil); err == nil {
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+			}
+		}
+	}()
+
+	resp, err = http.Post(sessURL+"/predict", "application/x-ibt2", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return err
+	}
+	if header {
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(got), "not an IBT2 trace") {
+			return fmt.Errorf("header cut answered %d %q, want 400 not an IBT2 trace", resp.StatusCode, got)
+		}
+	} else {
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("status %d (%s), want 200", resp.StatusCode, got)
+		}
+		if !bytes.HasPrefix(got, want) {
+			return fmt.Errorf("pred lines diverge from ProcessPredicted's:\n got %q\nwant %q", got, want)
+		}
+		var last serve.PredictEvent
+		if err := json.Unmarshal(got[len(want):], &last); err != nil {
+			return fmt.Errorf("after the pred lines, want one terminal line, got %q: %v", got[len(want):], err)
+		}
+		switch {
+		case clean && last.Type != "done":
+			return fmt.Errorf("boundary cut ended with %+v, want done", last)
+		case !clean && (last.Type != "error" || !strings.Contains(last.Error, "truncated")):
+			return fmt.Errorf("mid-record cut ended with %+v, want a truncation error line", last)
+		}
+	}
+
+	resp, err = http.Get(sessURL + "/state")
+	if err != nil {
+		return err
+	}
+	served, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET state: status %d: %v", resp.StatusCode, err)
+	}
+	if !bytes.Equal(served, snap) {
+		return fmt.Errorf("GET state (%d bytes) differs from the local engine's snapshot (%d bytes)", len(served), len(snap))
+	}
+	return nil
+}
+
+// ServeSweepReport summarizes a serving sweep: how many cuts were served as
+// clean prefixes, how many were shed as client errors (or, for a predict
+// stream, ended in an error line), and, for the upload sweep, the server's
 // final stats snapshot.
 type ServeSweepReport struct {
 	Accepted uint64

@@ -71,3 +71,13 @@ func TestUploadTruncationSweep(t *testing.T) {
 	}
 	t.Fatalf("goroutines leaked: %d before sweep, %d after", before, runtime.NumGoroutine())
 }
+
+func TestSessionPredictTruncationSweep(t *testing.T) {
+	report, err := SessionPredictTruncationSweep(faultRecords(), "PPM-hyb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Accepted == 0 || report.Rejected == 0 {
+		t.Fatalf("sweep did not cover both outcomes: %+v", report)
+	}
+}

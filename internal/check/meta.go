@@ -238,8 +238,13 @@ func Metamorphic(seed uint64, events int) error {
 	if err := BlockEngineIdentity(RandomTrace(seed+2, events), build); err != nil {
 		return err
 	}
-	if err := BlockEngineIdentity(RandomTrace(seed+3, events), ExtensionPredictors); err != nil {
-		return err
+	// The extension set also replays raw adversarial records: a small
+	// random workload may draw only single-target sites, and then neither
+	// the oracle's fallback nor its outcome lane sees a dispatch.
+	for _, recs := range [][]trace.Record{RandomTrace(seed+3, events), RandomRecords(seed+3, events)} {
+		if err := BlockEngineIdentity(recs, ExtensionPredictors); err != nil {
+			return err
+		}
 	}
 	if err := StateIdentity(RandomTrace(seed+4, events)); err != nil {
 		return err

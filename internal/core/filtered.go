@@ -154,7 +154,7 @@ func (f *FilteredPPM) ProcessBlock(b *trace.Block, c *stats.Counters) {
 		if pib && mt {
 			pc := pcs[i]
 			target, ok := f.Predict(pc)
-			c.Record(ok && target == tgt, ok)
+			c.Resolve(target, ok, tgt)
 			f.Update(pc, tgt)
 		}
 		if hyb && (pib || cls == trace.Return || cls == trace.JsrCoroutine) {

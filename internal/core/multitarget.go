@@ -234,7 +234,7 @@ func (m *MultiPPM) ProcessBlock(b *trace.Block, c *stats.Counters) {
 		if pib && mt {
 			pc := pcs[i]
 			target, ok := m.Predict(pc)
-			c.Record(ok && target == tgt, ok)
+			c.Resolve(target, ok, tgt)
 			m.Update(pc, tgt)
 		}
 		if hyb && (pib || cls == trace.Return || cls == trace.JsrCoroutine) {

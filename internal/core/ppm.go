@@ -355,7 +355,7 @@ func (p *PPM) ProcessBlock(b *trace.Block, c *stats.Counters) {
 		if pib && mt {
 			pc := pcs[i]
 			target, ok := p.Predict(pc)
-			c.Record(ok && target == tgt, ok)
+			c.Resolve(target, ok, tgt)
 			p.Update(pc, tgt)
 		}
 		if hyb && (pib || cls == trace.Return || cls == trace.JsrCoroutine) {

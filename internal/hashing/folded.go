@@ -36,8 +36,6 @@ func RotL(v uint64, r, out uint) uint64 {
 // value into out bits: word w occupies bit positions [64w, 64w+64), and each
 // bit p contributes to folded bit p mod out. For in <= 64 over a one-word
 // slice this is exactly Fold. out must be in [1, 64].
-//
-//ppm:hotpath per-lookup index-hash helper; runs once per table probe
 func FoldWords(words []uint64, in, out uint) uint64 {
 	var folded uint64
 	off := uint(0)

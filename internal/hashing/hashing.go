@@ -69,8 +69,6 @@ func GShare(history, pc uint64, n uint) uint64 {
 // paths where foldBits+len(targets)-1 <= 64 — every configuration in this
 // repository — the wrap never engages and the result is the plain
 // shift-XOR hash.
-//
-//ppm:hotpath per-lookup index-hash helper; runs once per table probe
 func SFSX(targets []uint64, selBits, foldBits uint) uint64 {
 	var h uint64
 	for i, t := range targets {
@@ -92,8 +90,6 @@ func SFSX(targets []uint64, selBits, foldBits uint) uint64 {
 // If fewer than `order` targets are available the hash is computed over the
 // ones present (early-execution warm-up), which matches a hardware PHR that
 // powers up zeroed.
-//
-//ppm:hotpath per-lookup index-hash helper; runs once per table probe
 func SFSXS(targets []uint64, selBits, foldBits, order uint) uint64 {
 	if order == 0 {
 		return 0
@@ -204,8 +200,6 @@ func (r *SFSXSRegister) Reset() { r.h = 0 }
 // low-order bit positions and selects the order low-order bits of the hash.
 // The paper found little accuracy difference between the two; both are kept
 // so the claim can be checked experimentally.
-//
-//ppm:hotpath per-lookup index-hash helper; runs once per table probe
 func SFSXSLow(targets []uint64, selBits, foldBits, order uint) uint64 {
 	if order == 0 {
 		return 0

@@ -251,8 +251,6 @@ func (p *PHR) PackedBits() uint { return p.packedBits }
 // hashing.Folded registers geometric-history predictors keep per bank;
 // snapshot restore reseeds those registers from it. in is clamped to the
 // register width; out must be in [1, 64].
-//
-//ppm:hotpath per-lookup index-hash helper; runs once per table probe
 func (p *PHR) FoldPacked(in, out uint) uint64 {
 	if in > p.packedBits {
 		in = p.packedBits

@@ -441,7 +441,7 @@ func (p *ITTAGE) ProcessBlock(b *trace.Block, c *stats.Counters) {
 			r := b.Record(i)
 			if r.MTIndirect() {
 				target, ok := p.Predict(r.PC)
-				c.Record(ok && target == r.Target, ok)
+				c.Resolve(target, ok, r.Target)
 				p.Update(r.PC, r.Target)
 			}
 			p.Observe(r)
@@ -453,7 +453,7 @@ func (p *ITTAGE) ProcessBlock(b *trace.Block, c *stats.Counters) {
 		pc := pcs[k]   //lint:idxsafe MTIdx entries index the block's lanes by construction
 		tgt := tgts[k] //lint:idxsafe MTIdx entries index the block's lanes by construction
 		target, ok := p.Predict(pc)
-		c.Record(ok && target == tgt, ok)
+		c.Resolve(target, ok, tgt)
 		p.Update(pc, tgt)
 		p.push(tgt)
 	}

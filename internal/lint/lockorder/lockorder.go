@@ -373,7 +373,8 @@ var knownBlockers = map[string]map[string]string{
 	"repro/internal/sched":      {"Map": "worker-pool join", "Simulate": "worker-pool join", "SimulateBlocks": "worker-pool join"},
 	"repro/internal/serve":      {"Shutdown": "shutdown drain"},
 	"repro/internal/sim": {"Process": "simulation", "ProcessAll": "simulation", "ProcessReader": "simulation",
-		"ProcessBlock": "simulation", "ProcessBlocks": "simulation", "ProcessPredicted": "simulation"},
+		"ProcessBlock": "simulation", "ProcessBlocks": "simulation", "ProcessPredicted": "simulation",
+		"ProcessBlockPredicted": "simulation"},
 }
 
 // blockingCall classifies a callee as blocking, returning a description.

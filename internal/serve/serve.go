@@ -160,6 +160,9 @@ type Server struct {
 	// spool pools snapshot writers/readers for the session state endpoints,
 	// keeping the steady-state snapshot/restore cycle allocation-free.
 	spool *state.Pool
+	// predictPool recycles live predict calls' working sets (decoder,
+	// block, outcome lane, line buffer; see predictScratch).
+	predictPool sync.Pool
 
 	jobsWG      sync.WaitGroup // one per admitted job, suite or upload
 	janitorStop chan struct{}

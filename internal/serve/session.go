@@ -14,7 +14,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/sim"
 	"repro/internal/state"
-	"repro/internal/trace"
 )
 
 // Live prediction sessions: where a job replays a whole trace offline, a
@@ -306,11 +305,15 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSessionPredict streams an IBT2 body through the session's live
-// engine: each decoded record trains the predictor in place, and each MT
-// indirect dispatch emits one NDJSON prediction line. The stream ends with a
-// "done" event carrying the cumulative status. State mutates as records
-// decode, so a truncated upload keeps the prefix's training — exactly what
-// an online learner does with a dropped connection.
+// engine on the block path: the body decodes a block at a time into pooled
+// scratch, each block trains the predictor in place through
+// sim.Engine.ProcessBlockPredicted, and each MT indirect dispatch emits one
+// NDJSON pred line, encoded by appendPredLine and written in batches of
+// predictFlushBytes. The stream ends with a "done" event carrying the
+// cumulative status. A truncated or corrupt upload keeps the training of
+// every record decoded before the fault — exactly what an online learner
+// does with a dropped connection — streams their pred lines, and then ends
+// with a typed "error" line instead of "done".
 func (s *Server) handleSessionPredict(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.lookupSession(r.PathValue("id"))
 	if !ok {
@@ -324,8 +327,8 @@ func (s *Server) handleSessionPredict(w http.ResponseWriter, r *http.Request) {
 	sizeBytes := int64(-1) // recompute on the error paths
 	defer func() { s.releaseSession(sess, sizeBytes) }()
 
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	tr, err := trace.NewReader(body)
+	sc, err := s.getPredictScratch(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
+	defer s.putPredictScratch(sc)
 	if err != nil {
 		s.met.badUpload.Add(1)
 		httpError(w, http.StatusBadRequest, "not an IBT2 trace: "+err.Error())
@@ -340,47 +343,23 @@ func (s *Server) handleSessionPredict(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Session-ID", sess.id)
-	enc := json.NewEncoder(w)
 	t0 := now()
-	const checkEvery = 4096
-	var streamed uint64
-	for n := 0; ; n++ {
-		if n%checkEvery == 0 && r.Context().Err() != nil {
-			return // client gone; the prefix has already trained the session
-		}
-		rec, err := tr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			// Headers are long gone; surface the failure as a typed line.
-			s.met.badUpload.Add(1)
-			_ = enc.Encode(PredictEvent{Type: "error", Error: err.Error()})
-			return
-		}
-		p, dispatched := sess.eng.ProcessPredicted(rec)
-		streamed++
-		if !dispatched {
-			continue
-		}
-		ev := PredictEvent{
-			Type: "pred", Seq: sess.eng.Counters()[0].Lookups,
-			PC: rec.PC, Actual: rec.Target,
-			Predicted: p.Predicted, Correct: p.Correct,
-		}
-		if p.Predicted {
-			ev.Target = p.Target
-		}
-		if err := enc.Encode(ev); err != nil {
-			return // client went away
-		}
+	gone, err := sc.stream(r.Context(), sess.eng, w)
+	if gone {
+		return // client gone; the prefix has already trained the session
 	}
-	s.met.predictRecs.Add(streamed)
+	if err != io.EOF {
+		// Headers are long gone; surface the failure as a typed line.
+		s.met.badUpload.Add(1)
+		_, _ = w.Write(appendJSONLine(sc.out, PredictEvent{Type: "error", Error: err.Error()}))
+		return
+	}
+	s.met.predictRecs.Add(sc.tr.Count())
 	s.met.predictLatency.observe(now().Sub(t0))
 
 	sizeBytes = sessionOverheadBytes + int64(state.SizeOf(sess.eng))
 	st := sess.liveStatus(sizeBytes)
-	_ = enc.Encode(PredictEvent{Type: "done", Session: &st})
+	_, _ = w.Write(appendJSONLine(sc.out, PredictEvent{Type: "done", Session: &st}))
 }
 
 // handleStateGet serializes the session's live state — engine accounting,

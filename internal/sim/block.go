@@ -13,11 +13,12 @@ import (
 //
 // Implementations MUST be observationally equivalent to the record loop:
 // for each record of the block in stream order — if the record is
-// MT-indirect, predict at the pre-update history, record the outcome into
-// c, then train; then observe the record (history registers, BIU). A
-// predictor that consumes the switch value (ValueAware) must read it from
-// the block's Value lane itself; the engine's per-record SetValue forward
-// only runs on the fallback path.
+// MT-indirect, predict at the pre-update history, resolve the outcome into
+// c with exactly one c.Resolve call (which also feeds ProcessBlockPredicted's
+// outcome lane), then train; then observe the record (history registers,
+// BIU). A predictor that consumes the switch value (ValueAware) must read
+// it from the block's Value lane itself; the engine's per-record SetValue
+// forward only runs on the fallback path.
 type BlockPredictor interface {
 	ProcessBlock(b *trace.Block, c *stats.Counters)
 }

@@ -35,6 +35,9 @@ type Engine struct {
 	// dec is the block ProcessReader decodes into, kept so repeated
 	// streams through one engine reuse its lanes.
 	dec trace.Block
+	// lane is the outcome lane ProcessBlockPredicted attaches to the first
+	// predictor's counters; nil between calls.
+	lane []Prediction
 }
 
 // New builds an engine over the given predictors. A 64-deep RAS is
@@ -66,9 +69,10 @@ type ValueAware interface {
 	SetValue(v uint32)
 }
 
-// Process feeds one committed branch record to every predictor. It is
-// ProcessPredicted without the outcome capture, kept as its own loop
-// because it is the record protocol's inner loop.
+// Process feeds one committed branch record to every predictor: the
+// record protocol's inner loop, kept as public API for the indirect package
+// and the examples. Engines fed blocks (ProcessBlock, ProcessReader) run
+// the same protocol a block at a time.
 //
 //ppm:hotpath per-record engine step driving every predictor
 func (e *Engine) Process(r trace.Record) {
@@ -86,8 +90,9 @@ func (e *Engine) Process(r trace.Record) {
 }
 
 // dispatch runs predictor i through one MT indirect dispatch: forward the
-// switch value (ValueAware), predict at the pre-update history, record the
-// outcome and train. It is the one predict→record→update step Process,
+// switch value (ValueAware), predict at the pre-update history, resolve the
+// outcome into the counters (and so into an attached outcome lane) and
+// train. It is the one predict→resolve→update step Process,
 // ProcessPredicted and ProcessBlock's record fallback share; each of them
 // then observes every record.
 //
@@ -98,7 +103,7 @@ func (e *Engine) dispatch(i int, r trace.Record) (target uint64, ok bool) {
 	}
 	p := e.preds[i] //lint:idxsafe i < len(e.preds) by caller contract
 	target, ok = p.Predict(r.PC)
-	e.counters[i].Record(ok && target == r.Target, ok) //lint:idxsafe len(e.counters) == len(e.preds) by construction
+	e.counters[i].Resolve(target, ok, r.Target) //lint:idxsafe len(e.counters) == len(e.preds) by construction
 	p.Update(r.PC, r.Target)
 	return target, ok
 }

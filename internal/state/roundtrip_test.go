@@ -10,8 +10,10 @@ import (
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/predictor"
+	"repro/internal/race"
 	"repro/internal/sim"
 	"repro/internal/state"
+	"repro/internal/trace"
 )
 
 // builders enumerates every snapshot-capable predictor construction: the
@@ -149,18 +151,31 @@ func TestCorruptSnapshots(t *testing.T) {
 	check1([]byte("PPMS\x02"), "bad version")
 }
 
-// TestSizeOf sanity-checks the budget-accounting helper: positive, stable
-// across calls, and equal to the serialized length.
+// TestSizeOf pins the budget-accounting helper to the serialized length
+// for every snapshot family, fresh and trained (on a workload trace and on
+// raw records whose addresses take wide varints), and requires it stable
+// and allocation-free once warm.
 func TestSizeOf(t *testing.T) {
-	p := core.PaperHyb()
-	e := sim.New(p)
-	e.ProcessAll(check.RandomTrace(1, 2000))
-	want := len(state.SaveBytes(p))
-	if got := state.SizeOf(p); got != want || got == 0 {
-		t.Fatalf("SizeOf = %d, want %d (non-zero)", got, want)
-	}
-	if again := state.SizeOf(p); again != want {
-		t.Fatalf("SizeOf unstable: %d then %d", want, again)
+	for name, build := range builders() {
+		t.Run(name, func(t *testing.T) {
+			e := sim.New(build())
+			for _, recs := range [][]trace.Record{nil, check.RandomTrace(1, 2000), check.RandomRecords(2, 2000)} {
+				e.ProcessAll(recs)
+				want := len(state.SaveBytes(e))
+				if got := state.SizeOf(e); got != want {
+					t.Fatalf("after %d more records: SizeOf = %d, want len(SaveBytes) = %d", len(recs), got, want)
+				}
+				if again := state.SizeOf(e); again != want {
+					t.Fatalf("SizeOf unstable: %d then %d", want, again)
+				}
+			}
+			if race.Enabled {
+				return
+			}
+			if avg := testing.AllocsPerRun(10, func() { state.SizeOf(e) }); avg != 0 {
+				t.Errorf("SizeOf: %.2f allocs per warm call, want 0", avg)
+			}
+		})
 	}
 }
 

@@ -19,20 +19,46 @@ type Counters struct {
 	Wrong uint64
 	// NoPrediction counts lookups where the predictor abstained.
 	NoPrediction uint64
+
+	// lane, while attached (Attach), receives one Prediction per Resolve.
+	lane *[]Prediction
 }
 
-// Record accumulates one prediction outcome.
+// Prediction is one MT indirect dispatch's outcome, as Resolve appends it
+// to an attached lane.
+type Prediction struct {
+	Target    uint64 // predicted target; meaningful only when Predicted
+	Predicted bool   // the predictor ventured a prediction
+	Correct   bool   // Predicted and the target matched the committed one
+}
+
+// Attach points the counters' outcome lane at lane: every Resolve until
+// the next Attach(nil) also appends its Prediction to *lane, within *lane's
+// capacity. The caller reserves that capacity up front, one slot per
+// dispatch to come, so the dispatch loops never grow the lane themselves;
+// an outcome past the reserved capacity is not recorded.
+func (c *Counters) Attach(lane *[]Prediction) { c.lane = lane }
+
+// Resolve scores one dispatch — the predictor's (target, ok) against the
+// committed actual target — and, with a lane attached, appends the outcome
+// to it. It is the one accounting call of every dispatch loop.
 //
-//ppm:hotpath per-record misprediction accounting
-func (c *Counters) Record(predicted, ok bool) {
+//ppm:hotpath per-dispatch misprediction accounting and outcome lane
+func (c *Counters) Resolve(target uint64, ok bool, actual uint64) {
 	c.Lookups++
 	switch {
 	case !ok:
 		c.NoPrediction++
-	case predicted:
+	case target == actual:
 		c.Correct++
 	default:
 		c.Wrong++
+	}
+	// Appending only within the reserved capacity compiles to no growth
+	// call (nor the register spills one would force on every loop) and no
+	// bounds check.
+	if l := c.lane; l != nil && len(*l) < cap(*l) {
+		*l = append(*l, Prediction{Target: target, Predicted: ok, Correct: ok && target == actual}) //lint:coldpath len < cap: never grows
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 
 func TestCountersRecord(t *testing.T) {
 	var c Counters
-	c.Record(true, true)   // correct
-	c.Record(false, true)  // wrong
-	c.Record(false, false) // abstained
+	c.Resolve(7, true, 7)  // correct
+	c.Resolve(7, true, 8)  // wrong
+	c.Resolve(0, false, 0) // abstained
 	if c.Lookups != 3 || c.Correct != 1 || c.Wrong != 1 || c.NoPrediction != 1 {
 		t.Fatalf("counters: %+v", c)
 	}

@@ -128,17 +128,19 @@ func BlocksBytes(blks []Block) int64 {
 	return n
 }
 
-// append pushes one record onto the block's lanes, maintaining the derived
-// lanes. It is the one per-record build step behind BlockBuilder and
-// Reader.ReadBlock; once the lanes have grown to the block's capacity,
-// appends do not allocate.
-func (b *Block) append(r Record) {
+// push appends one record's fields to the lanes, maintaining the derived
+// lanes. meta's bits above the Meta lane's (the wire value-present bit) are
+// dropped. It is the one per-record build step behind BlockBuilder and
+// Reader.ReadBlock, which decodes straight into it; once the lanes have
+// grown to the block's capacity, pushes do not allocate.
+func (b *Block) push(meta uint8, pc, target uint64, gap, value uint32) {
+	meta &= MetaClassMask | MetaTaken | MetaMT
 	i := len(b.Meta)
-	b.PC = append(b.PC, r.PC)
-	b.Target = append(b.Target, r.Target)
-	b.Meta = append(b.Meta, metaOf(r))
-	b.Gap = append(b.Gap, r.Gap)
-	if r.Value != 0 && b.Value == nil {
+	b.PC = append(b.PC, pc)
+	b.Target = append(b.Target, target)
+	b.Meta = append(b.Meta, meta)
+	b.Gap = append(b.Gap, gap)
+	if value != 0 && b.Value == nil {
 		// First switch value in the block: materialize the lane — from
 		// the storage a reset kept, when there is enough — and back-fill
 		// the zeros for the records already appended.
@@ -150,12 +152,12 @@ func (b *Block) append(r Record) {
 		}
 	}
 	if b.Value != nil {
-		b.Value = append(b.Value, r.Value)
+		b.Value = append(b.Value, value)
 	}
-	b.GapSum += uint64(r.Gap)
-	if r.PIBStream() {
+	b.GapSum += uint64(gap)
+	if cls := Class(meta & MetaClassMask); cls == IndirectJmp || cls == IndirectJsr {
 		b.PIBIdx = append(b.PIBIdx, int32(i))
-		if r.MT {
+		if meta&MetaMT != 0 {
 			b.MTIdx = append(b.MTIdx, int32(i))
 		}
 	}
@@ -194,7 +196,7 @@ func newBlock(n int) Block {
 // It is how a trace becomes blocks on its way to the engine: workload
 // generation emits straight into Add (workload.Config.Generate(bb.Add)),
 // Blocks converts record slices through it, and Reader.ReadBlock refills a
-// block with the same per-record append.
+// block through the same per-record build step (push).
 type BlockBuilder struct {
 	blockCap int
 	cur      Block
@@ -216,7 +218,7 @@ func (bb *BlockBuilder) Add(r Record) {
 		bb.blks = append(bb.blks, bb.cur)
 		bb.cur = newBlock(bb.blockCap)
 	}
-	bb.cur.append(r)
+	bb.cur.push(metaOf(r), r.PC, r.Target, r.Gap, r.Value)
 }
 
 // Blocks returns the built blocks: every block holds blockCap records but
@@ -281,20 +283,21 @@ func BlocksRecords(blks []Block) []Record {
 
 // ReadBlock refills b with the next BlockCap records of the stream (fewer
 // at its end), reusing b's lane storage, so a decode loop over one block
-// allocates nothing once the lanes have grown. It returns io.EOF, with b
+// allocates nothing once the lanes have grown. Records decode straight into
+// the lanes through the same decode step as Read. It returns io.EOF, with b
 // empty, once the stream is exhausted. On a decode error b holds the
 // records decoded before it, and Count counts exactly those.
 func (r *Reader) ReadBlock(b *Block) error {
 	b.reset(BlockCap)
 	for b.Len() < BlockCap {
-		rec, err := r.Read()
+		flags, pc, target, gap, value, err := r.next()
 		if err == io.EOF && b.Len() > 0 {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		b.append(rec)
+		b.push(flags, pc, target, gap, value)
 	}
 	return nil
 }

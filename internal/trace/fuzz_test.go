@@ -3,13 +3,19 @@ package trace
 import (
 	"bytes"
 	"io"
+	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzReader feeds arbitrary bytes to the trace decoder: it must never
-// panic and must either terminate with an error or consume the stream.
-// The block decoder the upload path runs must end the same way, having
-// decoded the same records.
+// panic and must end every stream. The decoder reads the same input four
+// ways — Read and ReadBlock, each over a bytes.Reader (whose reads fill the
+// buffer, so records decode from the bufio window) and over
+// iotest.OneByteReader (one byte per fill, so every record takes the byte
+// path) — and all four must agree on every record, every error's text and
+// Count. Decoding continues past corrupt records, so the streams also agree
+// on where each error left the stream.
 func FuzzReader(f *testing.F) {
 	// Seed with a valid trace and a few mutations.
 	var buf bytes.Buffer
@@ -24,48 +30,100 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte("IBT2"))
 	f.Add([]byte("IBT2\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"))
 	f.Add([]byte{})
+	// Corrupt records with a full window behind them, so the window path
+	// meets a varint overflow and an invalid class, then decodes on.
+	f.Add([]byte("IBT2\x10" + strings.Repeat("\xff", 11) + strings.Repeat("\x10\x02\x02\x00", 12)))
+	f.Add([]byte("IBT2" + strings.Repeat("\x07\x00\x00\x00\x10\x02\x02\x00", 12)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
+		window := func() io.Reader { return bytes.NewReader(data) }
+		oneByte := func() io.Reader { return iotest.OneByteReader(bytes.NewReader(data)) }
+		want, wantCount, ok := readTranscript(window())
+		if !ok {
 			return
 		}
-		var recs []Record
-		var readErr error
-		for i := 0; i < 100000; i++ {
-			rec, err := r.Read()
-			if err != nil {
-				readErr = err // any error is acceptable; panics are not
-				break
+		for _, c := range []struct {
+			name  string
+			trans func(io.Reader) ([]step, uint64, bool)
+			src   func() io.Reader
+		}{
+			{"Read/byte path", readTranscript, oneByte},
+			{"ReadBlock/window", blockTranscript, window},
+			{"ReadBlock/byte path", blockTranscript, oneByte},
+		} {
+			got, count, _ := c.trans(c.src())
+			if count != wantCount {
+				t.Fatalf("%s: Count %d, Read over the window %d", c.name, count, wantCount)
 			}
-			recs = append(recs, rec)
-		}
-		if readErr == nil {
-			return // stream longer than the loop bound
-		}
-
-		br, _ := NewReader(bytes.NewReader(data))
-		var b Block
-		var got []Record
-		for {
-			err := br.ReadBlock(&b)
-			got = b.AppendRecords(got)
-			if err != nil {
-				if (err == io.EOF) != (readErr == io.EOF) {
-					t.Fatalf("ReadBlock ended with %v, Read with %v", err, readErr)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d steps, Read over the window %d", c.name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: step %d: %+v, Read over the window %+v", c.name, i, got[i], want[i])
 				}
-				break
-			}
-		}
-		if len(got) != len(recs) || br.Count() != r.Count() {
-			t.Fatalf("ReadBlock decoded %d records (Count %d), Read %d (Count %d)", len(got), br.Count(), len(recs), r.Count())
-		}
-		for i := range recs {
-			if got[i] != recs[i] {
-				t.Fatalf("record %d: ReadBlock %+v, Read %+v", i, got[i], recs[i])
 			}
 		}
 	})
+}
+
+// transcriptSteps bounds a fuzz transcript; every step consumes at least a
+// byte, so only a long valid stream reaches it.
+const transcriptSteps = 100000
+
+// step is one decode step of a transcript: a record, or an error's text.
+type step struct {
+	rec Record
+	err string
+}
+
+// readTranscript decodes src with Read until io.EOF, one step per record
+// or error, and returns the steps, Count, and whether the header was valid.
+func readTranscript(src io.Reader) ([]step, uint64, bool) {
+	r, err := NewReader(src)
+	if err != nil {
+		return nil, 0, false
+	}
+	var steps []step
+	for len(steps) < transcriptSteps {
+		rec, err := r.Read()
+		if err == io.EOF {
+			break
+		}
+		steps = append(steps, transcriptStep(rec, err))
+	}
+	return steps, r.Count(), true
+}
+
+// blockTranscript is readTranscript through ReadBlock.
+func blockTranscript(src io.Reader) ([]step, uint64, bool) {
+	r, err := NewReader(src)
+	if err != nil {
+		return nil, 0, false
+	}
+	var steps []step
+	var b Block
+	for len(steps) < transcriptSteps {
+		err := r.ReadBlock(&b)
+		for i := 0; i < b.Len(); i++ {
+			steps = append(steps, transcriptStep(b.Record(i), nil))
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			steps = append(steps, transcriptStep(Record{}, err))
+		}
+	}
+	return steps, r.Count(), true
+}
+
+// transcriptStep records one decode step.
+func transcriptStep(rec Record, err error) step {
+	if err != nil {
+		return step{err: err.Error()}
+	}
+	return step{rec: rec}
 }
 
 // FuzzRoundTrip checks that any encodable record survives a round trip.

@@ -139,11 +139,21 @@ func NewReader(r io.Reader) (*Reader, error) {
 // reader and its 64 KiB buffer instead of reallocating them. The header is
 // revalidated and the delta-decode state rewound, so a Reset reader behaves
 // exactly like one from NewReader. Callers that drain many traces in a loop
-// (the block cache's decode path, benchmarks) Reset one Reader rather than
-// paying a buffer allocation per trace.
+// (the live-session predict handler's pooled scratch, tests) Reset one
+// Reader rather than paying a buffer allocation per trace. The zero Reader
+// is ready for Reset. Reset(nil) detaches the reader from its stream
+// without reading, so a pooled reader pins no finished request body; the
+// reader must be Reset onto a stream again before its next read.
 func (r *Reader) Reset(src io.Reader) error {
-	r.r.Reset(src)
+	if r.r == nil {
+		r.r = bufio.NewReaderSize(src, 1<<16)
+	} else {
+		r.r.Reset(src)
+	}
 	r.prevPC, r.count, r.hint = 0, 0, 0
+	if src == nil {
+		return nil
+	}
 	hdr, err := r.r.Peek(len(magic))
 	if err != nil {
 		return fmt.Errorf("trace: reading header: %w", err)
@@ -155,12 +165,131 @@ func (r *Reader) Reset(src io.Reader) error {
 	return nil
 }
 
+// maxRecordBytes bounds the bytes the decoder can consume for one record,
+// error or not: the flags byte plus four varint fields, each of which the
+// decoder reads for up to 11 bytes before it reports an overflow.
+const maxRecordBytes = 1 + 4*(binary.MaxVarintLen64+1)
+
+// errVarintOverflow mirrors the stdlib's binary.ReadUvarint overflow error.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// next is the one decode step behind Read and ReadBlock: it decodes the
+// next record's wire fields, updating the delta-decode state and the count.
+// With at least maxRecordBytes buffered it decodes straight from the
+// bufio window (decodeWindow); at the window's edge it falls back to the
+// byte-at-a-time path (decodeBytes), which refills the buffer. The two
+// paths return the same fields and the same error after consuming the
+// same bytes, so neither the records nor the byte offset of an error
+// depend on how the stream was chunked.
+//
+//ppm:hotpath per-record IBT2 decode under Read and ReadBlock
+func (r *Reader) next() (flags uint8, pc, target uint64, gap, value uint32, err error) {
+	var pcd, tgtd uint64
+	if r.r.Buffered() >= maxRecordBytes {
+		win, _ := r.r.Peek(maxRecordBytes)
+		var n int
+		flags, pcd, tgtd, gap, value, n, err = decodeWindow(win)
+		r.r.Discard(n)
+	} else {
+		flags, pcd, tgtd, gap, value, err = r.decodeBytes()
+	}
+	if err != nil {
+		return 0, 0, 0, 0, 0, err
+	}
+	if !Class(flags & flagClassMask).Valid() {
+		return 0, 0, 0, 0, 0, fmt.Errorf("trace: corrupt record: invalid class %d", flags&flagClassMask) //lint:coldpath — corrupt stream
+	}
+	pc = r.prevPC + uint64(unzigzag(pcd))
+	r.prevPC = pc
+	r.count++
+	return flags, pc, pc + uint64(unzigzag(tgtd)), gap, value, nil
+}
+
+// decodeWindow decodes the raw fields of the record at the front of win,
+// which holds at least maxRecordBytes bytes, and returns how many bytes the
+// byte path would have consumed for it — on an overflow, up to and
+// including the offending byte.
+func decodeWindow(win []byte) (flags uint8, pcd, tgtd uint64, gap, value uint32, n int, err error) {
+	win = win[:maxRecordBytes]
+	flags = win[0]
+	n = 1
+	var v uint64
+	if pcd, n, err = windowUvarint(win, n); err != nil {
+		return 0, 0, 0, 0, 0, n, err
+	}
+	if tgtd, n, err = windowUvarint(win, n); err != nil {
+		return 0, 0, 0, 0, 0, n, err
+	}
+	if v, n, err = windowUvarint(win, n); err != nil {
+		return 0, 0, 0, 0, 0, n, err
+	}
+	gap = uint32(v)
+	if flags&flagValue != 0 {
+		if v, n, err = windowUvarint(win, n); err != nil {
+			return 0, 0, 0, 0, 0, n, err
+		}
+		value = uint32(v)
+	}
+	return flags, pcd, tgtd, gap, value, n, nil
+}
+
+// windowUvarint decodes the unsigned varint at win[i:] and returns the
+// offset just past it. It reads and rejects exactly the bytes uvarint
+// does, so it needs at most binary.MaxVarintLen64+1 bytes of window.
+func windowUvarint(win []byte, i int) (uint64, int, error) {
+	var v uint64
+	for shift := uint(0); ; shift += 7 {
+		b := win[i] //lint:idxsafe decodeWindow passes maxRecordBytes of window, which cover the flags byte and four worst-case fields
+		i++
+		if b < 0x80 {
+			if shift >= 64 || (shift == 63 && b > 1) {
+				return 0, i, errVarintOverflow //lint:coldpath — corrupt stream
+			}
+			return v | uint64(b)<<shift, i, nil
+		}
+		if shift >= 64 {
+			return 0, i, errVarintOverflow //lint:coldpath — corrupt stream
+		}
+		v |= uint64(b&0x7f) << shift
+	}
+}
+
+// decodeBytes is next's byte-at-a-time path, used at the edge of the
+// buffered window: it reads the fields one byte at a time, refilling the
+// buffer as needed. An end of stream before the flags byte is io.EOF; one
+// after it is ErrTruncated.
+func (r *Reader) decodeBytes() (flags uint8, pcd, tgtd uint64, gap, value uint32, err error) {
+	flags, err = r.r.ReadByte()
+	if err != nil {
+		if err == io.ErrUnexpectedEOF {
+			err = io.EOF
+		}
+		return 0, 0, 0, 0, 0, err
+	}
+	if pcd, err = r.uvarint(); err != nil {
+		return 0, 0, 0, 0, 0, truncated(err)
+	}
+	if tgtd, err = r.uvarint(); err != nil {
+		return 0, 0, 0, 0, 0, truncated(err)
+	}
+	v, err := r.uvarint()
+	if err != nil {
+		return 0, 0, 0, 0, 0, truncated(err)
+	}
+	gap = uint32(v)
+	if flags&flagValue != 0 {
+		if v, err = r.uvarint(); err != nil {
+			return 0, 0, 0, 0, 0, truncated(err)
+		}
+		value = uint32(v)
+	}
+	return flags, pcd, tgtd, gap, value, nil
+}
+
 // uvarint decodes one unsigned varint from the buffered stream. Equivalent
 // to binary.ReadUvarint(r.r) but calls the concrete *bufio.Reader directly:
 // the stdlib helper takes an io.ByteReader, which costs an interface
-// dispatch per byte on the hottest loop in the decode path.
-//
-//ppm:hotpath per-field varint decode under Read
+// dispatch per byte.
 func (r *Reader) uvarint() (uint64, error) {
 	var v uint64
 	var shift uint
@@ -171,63 +300,31 @@ func (r *Reader) uvarint() (uint64, error) {
 		}
 		if b < 0x80 {
 			if shift >= 64 || (shift == 63 && b > 1) {
-				return 0, errVarintOverflow //lint:coldpath — corrupt stream
+				return 0, errVarintOverflow
 			}
 			return v | uint64(b)<<shift, nil
 		}
 		if shift >= 64 {
-			return 0, errVarintOverflow //lint:coldpath — corrupt stream
+			return 0, errVarintOverflow
 		}
 		v |= uint64(b&0x7f) << shift
 		shift += 7
 	}
 }
 
-// errVarintOverflow mirrors the stdlib's binary.ReadUvarint overflow error.
-var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
-
 // Read returns the next record, or io.EOF at end of trace.
 func (r *Reader) Read() (Record, error) {
-	flags, err := r.r.ReadByte()
+	flags, pc, target, gap, value, err := r.next()
 	if err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = io.EOF
-		}
 		return Record{}, err
 	}
-	pcd, err := r.uvarint()
-	if err != nil {
-		return Record{}, truncated(err)
-	}
-	tgtd, err := r.uvarint()
-	if err != nil {
-		return Record{}, truncated(err)
-	}
-	gap, err := r.uvarint()
-	if err != nil {
-		return Record{}, truncated(err)
-	}
-	rec := Record{
+	return Record{
+		PC: pc, Target: target,
 		Class: Class(flags & flagClassMask),
 		Taken: flags&flagTaken != 0,
 		MT:    flags&flagMT != 0,
-		Gap:   uint32(gap),
-	}
-	if flags&flagValue != 0 {
-		v, err := r.uvarint()
-		if err != nil {
-			return Record{}, truncated(err)
-		}
-		rec.Value = uint32(v)
-	}
-	rec.PC = r.prevPC + uint64(unzigzag(pcd))
-	rec.Target = rec.PC + uint64(unzigzag(tgtd))
-	if !rec.Class.Valid() {
-		return Record{}, fmt.Errorf("trace: corrupt record: invalid class %d", flags&flagClassMask)
-	}
-	r.prevPC = rec.PC
-	r.count++
-	return rec, nil
+		Gap:   gap, Value: value,
+	}, nil
 }
 
 // Count returns the number of records read so far.

@@ -161,7 +161,7 @@ func (d *DualPath) ProcessBlock(b *trace.Block, c *stats.Counters) {
 			r := b.Record(i)
 			if r.MTIndirect() {
 				target, ok := d.Predict(r.PC)
-				c.Record(ok && target == r.Target, ok)
+				c.Resolve(target, ok, r.Target)
 				d.Update(r.PC, r.Target)
 			}
 			d.Observe(r)
@@ -173,7 +173,7 @@ func (d *DualPath) ProcessBlock(b *trace.Block, c *stats.Counters) {
 		pc := pcs[k]   //lint:idxsafe MTIdx entries index the block's lanes by construction
 		tgt := tgts[k] //lint:idxsafe MTIdx entries index the block's lanes by construction
 		target, ok := d.Predict(pc)
-		c.Record(ok && target == tgt, ok)
+		c.Resolve(target, ok, tgt)
 		d.Update(pc, tgt)
 		d.PushMT(tgt)
 	}

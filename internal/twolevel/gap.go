@@ -207,7 +207,7 @@ func (g *GAp) ProcessBlock(b *trace.Block, c *stats.Counters) {
 			if metas[k]&trace.MetaMT != 0 {
 				pc := pcs[k] //lint:idxsafe PIBIdx entries index the block's lanes by construction
 				target, ok := g.Predict(pc)
-				c.Record(ok && target == tgt, ok)
+				c.Resolve(target, ok, tgt)
 				g.Update(pc, tgt)
 			}
 			g.hist.Push(tgt)
@@ -217,7 +217,7 @@ func (g *GAp) ProcessBlock(b *trace.Block, c *stats.Counters) {
 			pc := pcs[k]   //lint:idxsafe MTIdx entries index the block's lanes by construction
 			tgt := tgts[k] //lint:idxsafe MTIdx entries index the block's lanes by construction
 			target, ok := g.Predict(pc)
-			c.Record(ok && target == tgt, ok)
+			c.Resolve(target, ok, tgt)
 			g.Update(pc, tgt)
 			g.hist.Push(tgt)
 		}
@@ -228,7 +228,7 @@ func (g *GAp) ProcessBlock(b *trace.Block, c *stats.Counters) {
 			r := b.Record(i)
 			if r.MTIndirect() {
 				target, ok := g.Predict(r.PC)
-				c.Record(ok && target == r.Target, ok)
+				c.Resolve(target, ok, r.Target)
 				g.Update(r.PC, r.Target)
 			}
 			g.hist.Observe(r)

@@ -119,7 +119,7 @@ func (t *TargetCache) ProcessBlock(b *trace.Block, c *stats.Counters) {
 			if metas[k]&trace.MetaMT != 0 {
 				pc := pcs[k] //lint:idxsafe PIBIdx entries index the block's lanes by construction
 				target, ok := t.Predict(pc)
-				c.Record(ok && target == tgt, ok)
+				c.Resolve(target, ok, tgt)
 				t.Update(pc, tgt)
 			}
 			t.hist.Push(tgt)
@@ -129,7 +129,7 @@ func (t *TargetCache) ProcessBlock(b *trace.Block, c *stats.Counters) {
 			pc := pcs[k]   //lint:idxsafe MTIdx entries index the block's lanes by construction
 			tgt := tgts[k] //lint:idxsafe MTIdx entries index the block's lanes by construction
 			target, ok := t.Predict(pc)
-			c.Record(ok && target == tgt, ok)
+			c.Resolve(target, ok, tgt)
 			t.Update(pc, tgt)
 			t.hist.Push(tgt)
 		}
@@ -138,7 +138,7 @@ func (t *TargetCache) ProcessBlock(b *trace.Block, c *stats.Counters) {
 			r := b.Record(i)
 			if r.MTIndirect() {
 				target, ok := t.Predict(r.PC)
-				c.Record(ok && target == r.Target, ok)
+				c.Resolve(target, ok, r.Target)
 				t.Update(r.PC, r.Target)
 			}
 			t.hist.Observe(r)
